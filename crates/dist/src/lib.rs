@@ -64,16 +64,6 @@ pub trait Distribution {
         let m = self.mean();
         self.cv2() * m * m
     }
-
-    /// Greatest lower bound of the support: no sample is ever below this
-    /// value. The parallel simulator reads it as the conservative lookahead
-    /// contract for inter-LP message delays, so it must never overestimate.
-    /// The default (0, valid for every non-negative distribution) is exact
-    /// for the exponential-tailed families and only loose where a family
-    /// genuinely has unbounded-below-by-zero support.
-    fn min_value(&self) -> f64 {
-        0.0
-    }
 }
 
 /// Uniform distribution on `[lo, hi]` (used for bounded work jitter, e.g.
@@ -127,10 +117,6 @@ impl Distribution for UniformRange {
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.lo + rng.random::<f64>() * self.width()
-    }
-
-    fn min_value(&self) -> f64 {
-        self.lo
     }
 }
 
@@ -325,17 +311,6 @@ impl Distribution for ServiceTime {
             }
         }
     }
-
-    fn min_value(&self) -> f64 {
-        match *self {
-            ServiceTime::Constant(m) => m,
-            ServiceTime::Uniform(u) => u.min_value(),
-            // Exponential-tailed families can sample arbitrarily close to 0.
-            ServiceTime::Exponential { .. }
-            | ServiceTime::ErlangMix { .. }
-            | ServiceTime::Hyper2 { .. } => 0.0,
-        }
-    }
 }
 
 /// Build a [`ServiceTime`] with *exactly* the requested mean and squared
@@ -489,35 +464,6 @@ mod tests {
             assert!(p.abs() < 1e-9, "p = {p}");
         } else {
             panic!("expected ErlangMix, got {d:?}");
-        }
-    }
-
-    #[test]
-    fn min_value_is_exact_per_family() {
-        assert_eq!(ServiceTime::constant(42.0).min_value(), 42.0);
-        assert_eq!(ServiceTime::exponential(200.0).min_value(), 0.0);
-        assert_eq!(ServiceTime::uniform(15.0, 35.0).min_value(), 15.0);
-        assert_eq!(from_mean_cv2(100.0, 0.5).min_value(), 0.0);
-        assert_eq!(from_mean_cv2(100.0, 2.5).min_value(), 0.0);
-        assert_eq!(UniformRange::centered(100.0, 10.0).min_value(), 90.0);
-    }
-
-    #[test]
-    fn samples_never_undershoot_min_value() {
-        let dists = [
-            ServiceTime::constant(7.0),
-            ServiceTime::exponential(10.0),
-            ServiceTime::uniform(3.0, 9.0),
-            from_mean_cv2(20.0, 0.4),
-            from_mean_cv2(20.0, 3.0),
-        ];
-        let mut rng = SmallRng::seed_from_u64(77);
-        for d in &dists {
-            let lo = d.min_value();
-            for _ in 0..5_000 {
-                let x = d.sample(&mut rng);
-                assert!(x >= lo, "{d:?} sampled {x} below min_value {lo}");
-            }
         }
     }
 

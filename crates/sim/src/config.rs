@@ -8,10 +8,9 @@ use lopc_dist::ServiceTime;
 pub type NodeId = usize;
 
 /// Upper bound on `p` (2²⁰ nodes): the engine packs the creating node's id
-/// into the high bits of each event's 64-bit tie-break key so that event
-/// ordering is independent of how nodes are partitioned into logical
-/// processes (see DESIGN.md §13), which leaves 20 bits for the node id and
-/// 44 bits for the per-node creation counter.
+/// into the high bits of each event's 64-bit tie-break key (see DESIGN.md
+/// §4), which leaves 20 bits for the node id and 44 bits for the per-node
+/// creation counter.
 pub const MAX_NODES: usize = 1 << 20;
 
 /// Simulated time in cycles.
@@ -112,11 +111,10 @@ pub struct SimConfig {
     /// Stop condition / measurement mode.
     pub stop: StopCondition,
     /// RNG seed; equal seeds give bit-identical runs — independent of the
-    /// pending-event [`Scheduler`](crate::sched::Scheduler), of how many
-    /// threads [`run_replications`](crate::runner::run_replications) uses,
-    /// and of the LP partition / worker count of the parallel engine
-    /// ([`par::run_par`](crate::par::run_par)): every node draws from its
-    /// own counter-split RNG stream derived from this seed.
+    /// pending-event [`Scheduler`](crate::sched::Scheduler) and of how many
+    /// threads [`run_replications`](crate::runner::run_replications) uses:
+    /// every node draws from its own counter-split RNG stream derived from
+    /// this seed.
     pub seed: u64,
 }
 

@@ -16,30 +16,21 @@
 //! * With `protocol_processor = true`, handlers run on a per-node coprocessor
 //!   and never interrupt computation (§5.1 "Modeling Shared Memory").
 //!
-//! # Partition-aware core
+//! # Determinism
 //!
-//! The event loop lives in `Core`, which owns a *contiguous block* of
-//! nodes rather than all of them. The sequential [`Engine`] is a single
-//! `Core` spanning `0..p`; the conservative parallel engine
-//! ([`crate::par`]) runs one `Core` per logical process and ferries
-//! cross-block events through its outbox. Three design rules make the two
-//! modes bit-identical (DESIGN.md §13):
+//! A seed fixes the whole run (DESIGN.md §4):
 //!
 //! * **Per-node RNG streams.** Every node draws from its own
 //!   [`SmallRng`], seeded by counter-based splitting ([`stream_seed`]) of
-//!   the configuration seed — never from a shared stream whose
-//!   interleaving would depend on global event order.
-//! * **Partition-independent event keys.** Tie-breaking uses
-//!   `(creating node, per-node creation counter)` packed into the 64-bit
-//!   `seq`, not a global counter, so simultaneous events sort the same way
-//!   no matter which core created them.
+//!   the configuration seed.
+//! * **Packed event keys.** Tie-breaking uses `(creating node, per-node
+//!   creation counter)` packed into the 64-bit `seq`, so simultaneous
+//!   events pop in the same order under every [`Scheduler`].
 //! * **Drain-to-empty termination.** In makespan mode the loop runs until
 //!   the queue is empty (the only events after the last cycle are stale,
-//!   token-invalidated `ComputeDone`s), so the processed-event set does not
-//!   depend on the partition.
+//!   token-invalidated `ComputeDone`s).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use crate::config::{ConfigError, NodeId, SimConfig, StopCondition, Time};
 use crate::sched::{BinaryHeapQueue, CalendarQueue, EventQueue, Keyed, Scheduler};
@@ -56,10 +47,8 @@ const CTR_BITS: u32 = 44;
 /// Derive the seed of RNG stream `stream` from a master seed by
 /// counter-based splitting: a Weyl step by the golden-ratio increment
 /// followed by the SplitMix64 finalizer. Unlike drawing seeds sequentially
-/// from one RNG, stream `k`'s seed depends only on `(master, k)`, so any
-/// subset of streams can be materialised independently — the property that
-/// makes simulation results invariant under LP repartitioning (each node is
-/// stream `k = node id`).
+/// from one RNG, stream `k`'s seed depends only on `(master, k)`; node `k`
+/// draws from stream `k`.
 pub fn stream_seed(master: u64, stream: u64) -> u64 {
     let mut z = master.wrapping_add(stream.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -70,7 +59,7 @@ pub fn stream_seed(master: u64, stream: u64) -> u64 {
 /// Message kind: requests travel origin → server(s); the final server turns
 /// the message into a reply back to the origin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum MsgKind {
+enum MsgKind {
     Request,
     Reply,
 }
@@ -79,7 +68,7 @@ pub(crate) enum MsgKind {
 /// origin node (a fork-join cycle owns several messages at once); the
 /// message itself carries only per-request state.
 #[derive(Clone, Debug)]
-pub(crate) struct Msg {
+struct Msg {
     kind: MsgKind,
     origin: NodeId,
     /// Handler visits remaining *after* the current one (multi-hop).
@@ -180,7 +169,7 @@ impl Node {
 
 /// Event payload.
 #[derive(Debug)]
-pub(crate) enum EvKind {
+enum EvKind {
     Arrive(Msg),
     HandlerDone,
     PpHandlerDone,
@@ -188,15 +177,14 @@ pub(crate) enum EvKind {
 }
 
 /// A scheduled event; ordered by `(time, seq)` where `seq` packs
-/// `(creating node, per-node creation counter)` — unique, FIFO per creator,
-/// and independent of the LP partition, so runs are bit-reproducible in
-/// both the sequential and the parallel engine.
+/// `(creating node, per-node creation counter)` — unique and FIFO per
+/// creator.
 #[derive(Debug)]
-pub(crate) struct Ev {
-    pub(crate) t: Time,
-    pub(crate) seq: u64,
-    pub(crate) node: NodeId,
-    pub(crate) kind: EvKind,
+struct Ev {
+    t: Time,
+    seq: u64,
+    node: NodeId,
+    kind: EvKind,
 }
 
 impl Keyed for Ev {
@@ -257,18 +245,11 @@ fn wire_time(cfg: &SimConfig, rng: &mut SmallRng) -> f64 {
     }
 }
 
-/// The event loop over one contiguous block of nodes `[lo, lo + len)`.
-///
-/// The sequential [`Engine`] wraps a single core spanning every node; the
-/// parallel engine ([`crate::par`]) runs one core per logical process.
-/// Events addressed outside the block land in [`Core::outbox`] for the
-/// driver to ferry; events arriving from other blocks enter through
-/// [`Core::receive`]. [`Core::process_until`] enforces the conservative
-/// safe-time bound.
-pub(crate) struct Core {
-    cfg: Arc<SimConfig>,
-    /// Global id of the first owned node (`nodes[i]` is node `lo + i`).
-    lo: NodeId,
+/// The sequential simulation engine. Construct with [`Engine::new`], then
+/// call [`Engine::run_to_completion`] (or use the [`crate::run`]
+/// convenience).
+pub struct Engine {
+    cfg: SimConfig,
     nodes: Vec<Node>,
     queue: PendingEvents,
     now: Time,
@@ -280,570 +261,9 @@ pub(crate) struct Core {
     /// Per-thread cycle quota (None in horizon mode).
     max_cycles: Option<u64>,
     makespan: Time,
-    /// Key of the event being dispatched; labels trace entries so per-core
-    /// traces merge into the exact sequential completion order.
-    cur_key: (Time, u64),
-    /// When `Some`, measured cycles append `(t, seq, r)` here.
-    trace: Option<Vec<(Time, u64, f64)>>,
-    /// Events addressed to nodes outside the owned block.
-    outbox: Vec<Ev>,
-}
-
-impl Core {
-    /// Build the core for nodes `[lo, lo + len)` of a *validated*
-    /// configuration and prime its threads with their first work quantum.
-    pub(crate) fn new(
-        cfg: Arc<SimConfig>,
-        lo: NodeId,
-        len: usize,
-        scheduler: Scheduler,
-        trace: bool,
-    ) -> Self {
-        debug_assert!(lo + len <= cfg.p && len > 0);
-        let (warmup, horizon_end, max_cycles) = match cfg.stop {
-            StopCondition::Horizon { warmup, end } => (warmup, Some(end), None),
-            StopCondition::CyclesPerThread { n } => (0.0, None, Some(n)),
-        };
-        let seed = cfg.seed;
-        let nodes = (lo..lo + len)
-            .map(|k| Node::new(SmallRng::seed_from_u64(stream_seed(seed, k as u64))))
-            .collect();
-        let mut core = Core {
-            cfg,
-            lo,
-            nodes,
-            queue: PendingEvents::new(scheduler),
-            now: 0.0,
-            events: 0,
-            warmup,
-            horizon_end,
-            max_cycles,
-            makespan: 0.0,
-            cur_key: (0.0, 0),
-            trace: Some(Vec::new()).filter(|_| trace),
-            outbox: Vec::new(),
-        };
-        core.bootstrap();
-        core
-    }
-
-    /// Prime every owned active thread with its first work quantum.
-    fn bootstrap(&mut self) {
-        for k in self.lo..self.lo + self.nodes.len() {
-            let i = k - self.lo;
-            if let Some(work) = &self.cfg.threads[k].work {
-                let w = work.sample(&mut self.nodes[i].rng);
-                self.nodes[i].t_cycle_start = 0.0;
-                self.nodes[i].thread = ThreadState::Ready { remaining: w };
-                self.start_compute(k);
-            }
-        }
-    }
-
-    /// True when this core owns node `k`.
-    #[inline]
-    fn owns(&self, k: NodeId) -> bool {
-        (self.lo..self.lo + self.nodes.len()).contains(&k)
-    }
-
-    /// Create an event on behalf of node `creator` (the node whose handler
-    /// is running). The tie-break key is `(creator, creator's counter)`, so
-    /// it does not depend on which core runs the creator. Events for nodes
-    /// outside the block go to the outbox.
-    #[inline]
-    fn schedule(&mut self, creator: NodeId, t: Time, node: NodeId, kind: EvKind) {
-        let c = &mut self.nodes[creator - self.lo];
-        c.ctr += 1;
-        debug_assert!(c.ctr < (1 << CTR_BITS));
-        let seq = ((creator as u64) << CTR_BITS) | c.ctr;
-        let ev = Ev { t, seq, node, kind };
-        if self.owns(node) {
-            self.queue.push(ev);
-        } else {
-            self.outbox.push(ev);
-        }
-    }
-
-    /// Earliest pending event time, or `+∞` when the queue is empty (the
-    /// conservative engine's null-message payload is this plus the
-    /// lookahead).
-    pub(crate) fn next_time(&mut self) -> Time {
-        match self.queue.pop() {
-            Some(ev) => {
-                let t = ev.t;
-                self.queue.push(ev);
-                t
-            }
-            None => f64::INFINITY,
-        }
-    }
-
-    /// Accept an event ferried from another core.
-    pub(crate) fn receive(&mut self, ev: Ev) {
-        debug_assert!(self.owns(ev.node));
-        debug_assert!(ev.t >= self.now, "causality violation across LPs");
-        self.queue.push(ev);
-    }
-
-    /// Drain the events addressed to other cores.
-    pub(crate) fn take_outbox(&mut self) -> Vec<Ev> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Process every pending event with `t < bound` (and, under a horizon,
-    /// `t <= end`); the first event past either limit is pushed back intact.
-    /// Sequential runs pass `+∞` and stop at the horizon or an empty queue.
-    pub(crate) fn process_until(&mut self, bound: Time) {
-        while let Some(ev) = self.queue.pop() {
-            if ev.t >= bound || self.horizon_end.is_some_and(|end| ev.t > end) {
-                self.queue.push(ev);
-                break;
-            }
-            self.dispatch(ev);
-        }
-    }
-
-    fn dispatch(&mut self, ev: Ev) {
-        debug_assert!(ev.t >= self.now, "time went backwards");
-        self.now = ev.t;
-        self.events += 1;
-        self.cur_key = (ev.t, ev.seq);
-        // Lazy warmup: the node's time-averages restart at exactly `warmup`
-        // before its first post-warmup event — between its events the levels
-        // are constant, so this equals an eager reset at `warmup`.
-        let i = ev.node - self.lo;
-        if !self.nodes[i].warmup_done && self.warmup > 0.0 && ev.t >= self.warmup {
-            self.nodes[i].warmup_done = true;
-            self.nodes[i].stats.reset_time_averages(self.warmup);
-        }
-        match ev.kind {
-            EvKind::Arrive(msg) => self.on_arrive(ev.node, msg),
-            EvKind::HandlerDone => self.on_handler_done(ev.node),
-            EvKind::PpHandlerDone => self.on_pp_handler_done(ev.node),
-            EvKind::ComputeDone { token } => self.on_compute_done(ev.node, token),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Event handlers
-    // ------------------------------------------------------------------
-
-    fn on_arrive(&mut self, k: NodeId, mut msg: Msg) {
-        let i = k - self.lo;
-        msg.arrived_at = self.now;
-        {
-            let node = &mut self.nodes[i];
-            match msg.kind {
-                MsgKind::Request => node.stats.nq.add(self.now, 1.0),
-                MsgKind::Reply => {
-                    debug_assert_eq!(msg.origin, k, "reply must arrive at its origin");
-                    node.stats.ny.add(self.now, 1.0);
-                }
-            }
-            debug_assert!(
-                node.stats.ny.level() <= self.cfg.threads[k].fanout as f64,
-                "a node holds at most `fanout` replies"
-            );
-            let depth = node.stats.nq.level() + node.stats.ny.level();
-            node.stats.max_depth = node.stats.max_depth.max(depth as u64);
-        }
-
-        if self.cfg.protocol_processor {
-            if self.nodes[i].pp_busy {
-                self.nodes[i].pp_fifo.push_back(msg);
-            } else {
-                self.start_pp_handler(k, msg);
-            }
-            return;
-        }
-
-        match self.nodes[i].cpu {
-            Cpu::Idle => self.start_handler(k, msg),
-            Cpu::Handler => self.nodes[i].fifo.push_back(msg),
-            Cpu::Compute { end } => {
-                // Preempt-resume: bank remaining work, invalidate the pending
-                // completion event, run the handler now.
-                let remaining = (end - self.now).max(0.0);
-                let node = &mut self.nodes[i];
-                node.compute_token += 1;
-                node.thread = ThreadState::Ready { remaining };
-                node.stats.busy_compute.set(self.now, 0.0);
-                node.cpu = Cpu::Idle;
-                self.start_handler(k, msg);
-            }
-        }
-    }
-
-    fn start_handler(&mut self, k: NodeId, msg: Msg) {
-        let i = k - self.lo;
-        debug_assert!(self.nodes[i].in_service.is_none());
-        let service = match msg.kind {
-            MsgKind::Request => self.cfg.request_handler.sample(&mut self.nodes[i].rng),
-            MsgKind::Reply => self.cfg.reply_handler.sample(&mut self.nodes[i].rng),
-        };
-        {
-            let node = &mut self.nodes[i];
-            match msg.kind {
-                MsgKind::Request => node.stats.busy_req.set(self.now, 1.0),
-                MsgKind::Reply => node.stats.busy_rep.set(self.now, 1.0),
-            }
-            node.cpu = Cpu::Handler;
-            node.in_service = Some(msg);
-        }
-        self.schedule(k, self.now + service, k, EvKind::HandlerDone);
-    }
-
-    fn start_pp_handler(&mut self, k: NodeId, msg: Msg) {
-        let i = k - self.lo;
-        debug_assert!(self.nodes[i].pp_in_service.is_none());
-        let service = match msg.kind {
-            MsgKind::Request => self.cfg.request_handler.sample(&mut self.nodes[i].rng),
-            MsgKind::Reply => self.cfg.reply_handler.sample(&mut self.nodes[i].rng),
-        };
-        {
-            let node = &mut self.nodes[i];
-            match msg.kind {
-                MsgKind::Request => node.stats.busy_req.set(self.now, 1.0),
-                MsgKind::Reply => node.stats.busy_rep.set(self.now, 1.0),
-            }
-            node.pp_busy = true;
-            node.pp_in_service = Some(msg);
-        }
-        self.schedule(k, self.now + service, k, EvKind::PpHandlerDone);
-    }
-
-    fn on_handler_done(&mut self, k: NodeId) {
-        let i = k - self.lo;
-        let msg = self.nodes[i]
-            .in_service
-            .take()
-            .expect("HandlerDone with no handler in service");
-        {
-            let node = &mut self.nodes[i];
-            node.cpu = Cpu::Idle;
-            match msg.kind {
-                MsgKind::Request => {
-                    node.stats.busy_req.set(self.now, 0.0);
-                    node.stats.nq.add(self.now, -1.0);
-                }
-                MsgKind::Reply => {
-                    node.stats.busy_rep.set(self.now, 0.0);
-                    node.stats.ny.add(self.now, -1.0);
-                }
-            }
-        }
-        self.complete_message(k, msg);
-
-        // CPU dispatch: queued handlers run before the thread resumes (this
-        // is the interference the BKT approximation charges to Rw).
-        if let Some(next) = self.nodes[i].fifo.pop_front() {
-            self.start_handler(k, next);
-        } else if let ThreadState::Ready { .. } = self.nodes[i].thread {
-            self.start_compute(k);
-        }
-    }
-
-    fn on_pp_handler_done(&mut self, k: NodeId) {
-        let i = k - self.lo;
-        let msg = self.nodes[i]
-            .pp_in_service
-            .take()
-            .expect("PpHandlerDone with no handler in service");
-        {
-            let node = &mut self.nodes[i];
-            node.pp_busy = false;
-            match msg.kind {
-                MsgKind::Request => {
-                    node.stats.busy_req.set(self.now, 0.0);
-                    node.stats.nq.add(self.now, -1.0);
-                }
-                MsgKind::Reply => {
-                    node.stats.busy_rep.set(self.now, 0.0);
-                    node.stats.ny.add(self.now, -1.0);
-                }
-            }
-        }
-        self.complete_message(k, msg);
-
-        // The CPU never ran the handler: start the thread only if it just
-        // became ready and the CPU is idle.
-        if let (Cpu::Idle, ThreadState::Ready { .. }) = (self.nodes[i].cpu, self.nodes[i].thread) {
-            self.start_compute(k);
-        }
-        if let Some(next) = self.nodes[i].pp_fifo.pop_front() {
-            self.start_pp_handler(k, next);
-        }
-    }
-
-    /// Shared request/reply completion logic (CPU-handler and protocol-
-    /// processor paths): forward, reply, or end the origin's cycle.
-    fn complete_message(&mut self, k: NodeId, mut msg: Msg) {
-        let i = k - self.lo;
-        match msg.kind {
-            MsgKind::Request => {
-                let response = self.now - msg.arrived_at;
-                msg.rq_sum += response;
-                if msg.arrived_at >= self.warmup {
-                    let node = &mut self.nodes[i];
-                    node.stats.rq_at_server.push(response);
-                    node.stats.requests_served += 1;
-                }
-                let wire = wire_time(&self.cfg, &mut self.nodes[i].rng);
-                if msg.hops_left > 0 {
-                    msg.hops_left -= 1;
-                    // Forwarding hop: uniform over the other nodes, like the
-                    // multi-hop patterns of Appendix A.
-                    let node = &mut self.nodes[i];
-                    let next = crate::routing::DestChooser::UniformOther.pick(
-                        k,
-                        self.cfg.p,
-                        &mut node.rng,
-                        &mut node.rr,
-                    );
-                    self.schedule(k, self.now + wire, next, EvKind::Arrive(msg));
-                } else {
-                    msg.kind = MsgKind::Reply;
-                    let origin = msg.origin;
-                    self.schedule(k, self.now + wire, origin, EvKind::Arrive(msg));
-                }
-            }
-            MsgKind::Reply => {
-                debug_assert_eq!(msg.origin, k);
-                {
-                    let node = &mut self.nodes[i];
-                    debug_assert!(node.outstanding > 0, "unexpected reply");
-                    node.cyc_rq += msg.rq_sum;
-                    node.cyc_ry += self.now - msg.arrived_at;
-                    node.outstanding -= 1;
-                    if node.outstanding > 0 {
-                        return; // fork-join: wait for the siblings
-                    }
-                }
-                // Last reply of the cycle: record and start the next one.
-                let (r, rw, cyc_rq, cyc_ry) = {
-                    let node = &self.nodes[i];
-                    (
-                        self.now - node.t_cycle_start,
-                        node.t_sent - node.t_cycle_start,
-                        node.cyc_rq,
-                        node.cyc_ry,
-                    )
-                };
-                if self.nodes[i].t_cycle_start >= self.warmup {
-                    let node = &mut self.nodes[i];
-                    node.stats.r.push(r);
-                    node.stats.rw.push(rw);
-                    node.stats.rq.push(cyc_rq);
-                    node.stats.ry.push(cyc_ry);
-                    node.stats.cycles += 1;
-                    if let Some(trace) = &mut self.trace {
-                        trace.push((self.cur_key.0, self.cur_key.1, r));
-                    }
-                }
-                self.nodes[i].cycles_done += 1;
-                self.makespan = self.now;
-
-                let quota_left = self
-                    .max_cycles
-                    .is_none_or(|n| self.nodes[i].cycles_done < n);
-                if quota_left {
-                    let w = self.cfg.threads[k]
-                        .work
-                        .as_ref()
-                        .expect("reply arrived at a server node")
-                        .sample(&mut self.nodes[i].rng);
-                    let node = &mut self.nodes[i];
-                    node.t_cycle_start = self.now;
-                    node.thread = ThreadState::Ready { remaining: w };
-                } else {
-                    self.nodes[i].thread = ThreadState::Done;
-                }
-            }
-        }
-    }
-
-    fn start_compute(&mut self, k: NodeId) {
-        let i = k - self.lo;
-        let remaining = match self.nodes[i].thread {
-            ThreadState::Ready { remaining } => remaining,
-            other => unreachable!("start_compute on thread in state {other:?}"),
-        };
-        debug_assert!(
-            self.cfg.protocol_processor || self.nodes[i].fifo.is_empty(),
-            "compute must not start with queued handlers"
-        );
-        let node = &mut self.nodes[i];
-        node.compute_token += 1;
-        let token = node.compute_token;
-        node.thread = ThreadState::Running;
-        node.cpu = Cpu::Compute {
-            end: self.now + remaining,
-        };
-        node.stats.busy_compute.set(self.now, 1.0);
-        self.schedule(k, self.now + remaining, k, EvKind::ComputeDone { token });
-    }
-
-    fn on_compute_done(&mut self, k: NodeId, token: u64) {
-        let i = k - self.lo;
-        if self.nodes[i].compute_token != token {
-            return; // stale: the thread was preempted after scheduling this
-        }
-        debug_assert!(matches!(self.nodes[i].cpu, Cpu::Compute { .. }));
-        debug_assert_eq!(self.nodes[i].thread, ThreadState::Running);
-        {
-            let node = &mut self.nodes[i];
-            node.stats.busy_compute.set(self.now, 0.0);
-            node.cpu = Cpu::Idle;
-            node.thread = ThreadState::Blocked;
-        }
-        // Issue the cycle's blocking request(s); sending is free, each
-        // message's wire time is St (or sampled).
-        let spec = &self.cfg.threads[k];
-        let hops = spec.hops;
-        let fanout = spec.fanout;
-        {
-            let node = &mut self.nodes[i];
-            node.t_sent = self.now;
-            node.outstanding = fanout;
-            node.cyc_rq = 0.0;
-            node.cyc_ry = 0.0;
-        }
-        for _ in 0..fanout {
-            let node = &mut self.nodes[i];
-            let dst = self.cfg.threads[k]
-                .dest
-                .pick(k, self.cfg.p, &mut node.rng, &mut node.rr);
-            debug_assert_ne!(dst, k, "requests must target another node");
-            let msg = Msg {
-                kind: MsgKind::Request,
-                origin: k,
-                hops_left: hops - 1,
-                rq_sum: 0.0,
-                arrived_at: 0.0,
-            };
-            let wire = wire_time(&self.cfg, &mut self.nodes[i].rng);
-            self.schedule(k, self.now + wire, dst, EvKind::Arrive(msg));
-        }
-    }
-}
-
-/// Assemble the [`SimReport`] from the finished cores of one run (the
-/// sequential engine passes exactly one spanning `0..p`). Cores are visited
-/// in node order, so per-node summaries, the Welford merge sequence — and
-/// therefore every pooled statistic — are bit-identical however the node
-/// set was partitioned.
-pub(crate) fn finalize_report(mut cores: Vec<Core>) -> SimReport {
-    cores.sort_by_key(|c| c.lo);
-    debug_assert!(!cores.is_empty());
-    let warmup = cores[0].warmup;
-    let horizon_end = cores[0].horizon_end;
-    let makespan = cores.iter().map(|c| c.makespan).fold(0.0f64, f64::max);
-    let events: u64 = cores.iter().map(|c| c.events).sum();
-    let (t_end, window) = match horizon_end {
-        Some(end) => (end, end - warmup),
-        None => (makespan, makespan),
-    };
-
-    // Nodes whose events all predate the warmup boundary (or that never saw
-    // an event) missed the lazy reset; apply it now so their time-averages
-    // cover the measurement window like everyone else's.
-    if warmup > 0.0 {
-        for core in &mut cores {
-            for node in &mut core.nodes {
-                if !node.warmup_done {
-                    node.warmup_done = true;
-                    node.stats.reset_time_averages(warmup);
-                }
-            }
-        }
-    }
-
-    let p_total: usize = cores.iter().map(|c| c.nodes.len()).sum();
-    let mut nodes = Vec::with_capacity(p_total);
-    let mut pooled_r = Welford::new();
-    let mut pooled_rw = Welford::new();
-    let mut pooled_rq = Welford::new();
-    let mut pooled_ry = Welford::new();
-    let mut total_cycles = 0u64;
-    let mut sum_uq = 0.0;
-    let mut sum_uy = 0.0;
-    let mut sum_qq = 0.0;
-    let mut sum_qy = 0.0;
-
-    for node in cores.iter().flat_map(|c| c.nodes.iter()) {
-        let s = &node.stats;
-        let summary = NodeSummary {
-            mean_r: s.r.mean(),
-            mean_rw: s.rw.mean(),
-            mean_rq: s.rq.mean(),
-            mean_ry: s.ry.mean(),
-            mean_rq_at_server: s.rq_at_server.mean(),
-            qq: s.nq.average(t_end),
-            qy: s.ny.average(t_end),
-            uq: s.busy_req.average(t_end),
-            uy: s.busy_rep.average(t_end),
-            u_compute: s.busy_compute.average(t_end),
-            cycles: s.cycles,
-            requests_served: s.requests_served,
-            max_depth: s.max_depth,
-        };
-        pooled_r.merge(&s.r);
-        pooled_rw.merge(&s.rw);
-        pooled_rq.merge(&s.rq);
-        pooled_ry.merge(&s.ry);
-        total_cycles += s.cycles;
-        sum_uq += summary.uq;
-        sum_uy += summary.uy;
-        sum_qq += summary.qq;
-        sum_qy += summary.qy;
-        nodes.push(summary);
-    }
-
-    let p = nodes.len() as f64;
-    let aggregate = Aggregate {
-        mean_r: pooled_r.mean(),
-        r_std_err: pooled_r.std_err(),
-        mean_rw: pooled_rw.mean(),
-        mean_rq: pooled_rq.mean(),
-        mean_ry: pooled_ry.mean(),
-        mean_uq: sum_uq / p,
-        mean_uy: sum_uy / p,
-        mean_qq: sum_qq / p,
-        mean_qy: sum_qy / p,
-        total_cycles,
-        throughput: if window > 0.0 {
-            total_cycles as f64 / window
-        } else {
-            0.0
-        },
-    };
-
-    // Measured cycles keyed by their completing event: per-core traces are
-    // already in key order, and the merged order equals the sequential
-    // completion order exactly.
-    let mut keyed: Vec<(Time, u64, f64)> = Vec::new();
-    for core in &mut cores {
-        if let Some(tr) = core.trace.take() {
-            keyed.extend(tr);
-        }
-    }
-    keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-    SimReport {
-        nodes,
-        aggregate,
-        window,
-        makespan,
-        events,
-        cycle_trace: keyed.into_iter().map(|(_, _, r)| r).collect(),
-    }
-}
-
-/// The sequential simulation engine: one `Core` spanning every node.
-/// Construct with [`Engine::new`], then call [`Engine::run_to_completion`]
-/// (or use the [`crate::run`] convenience).
-pub struct Engine {
-    core: Core,
+    /// When `Some`, measured cycles append their response time here in
+    /// completion order.
+    trace: Option<Vec<f64>>,
 }
 
 impl Engine {
@@ -864,17 +284,42 @@ impl Engine {
         Self::with_scheduler(cfg, scheduler)
     }
 
-    /// Build an engine with an explicit pending-event [`Scheduler`].
+    /// Build an engine with an explicit pending-event [`Scheduler`] and
+    /// prime every active thread with its first work quantum.
     ///
     /// Both schedulers produce bit-identical simulations (the differential
     /// tests in `tests/differential.rs` enforce this); the binary heap is
     /// kept selectable as the reference for such cross-checks.
     pub fn with_scheduler(cfg: SimConfig, scheduler: Scheduler) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let p = cfg.p;
-        Ok(Engine {
-            core: Core::new(Arc::new(cfg), 0, p, scheduler, false),
-        })
+        let (warmup, horizon_end, max_cycles) = match cfg.stop {
+            StopCondition::Horizon { warmup, end } => (warmup, Some(end), None),
+            StopCondition::CyclesPerThread { n } => (0.0, None, Some(n)),
+        };
+        let nodes = (0..cfg.p)
+            .map(|k| Node::new(SmallRng::seed_from_u64(stream_seed(cfg.seed, k as u64))))
+            .collect();
+        let mut engine = Engine {
+            cfg,
+            nodes,
+            queue: PendingEvents::new(scheduler),
+            now: 0.0,
+            events: 0,
+            warmup,
+            horizon_end,
+            max_cycles,
+            makespan: 0.0,
+            trace: None,
+        };
+        for k in 0..engine.cfg.p {
+            let Some(work) = &engine.cfg.threads[k].work else {
+                continue;
+            };
+            let remaining = work.sample(&mut engine.nodes[k].rng);
+            engine.nodes[k].thread = ThreadState::Ready { remaining };
+            engine.start_compute(k);
+        }
+        Ok(engine)
     }
 
     /// Record the per-cycle response-time series: every measured cycle
@@ -884,35 +329,449 @@ impl Engine {
     /// footprint, so only runs that feed `lopc_stats::batch_means` ask for
     /// it.
     pub fn with_cycle_trace(mut self) -> Self {
-        self.core.trace = Some(Vec::new());
+        self.trace = Some(Vec::new());
         self
     }
 
     /// Current simulated time.
     pub fn now(&self) -> Time {
-        self.core.now
+        self.now
     }
 
     /// Which pending-event scheduler this engine is running on (the adaptive
     /// choice of [`Engine::new`], or whatever [`Engine::with_scheduler`]
     /// pinned).
     pub fn scheduler(&self) -> Scheduler {
-        self.core.queue.kind()
+        self.queue.kind()
     }
 
     /// Events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.core.events
+        self.events
     }
 
     /// Run until the stop condition is reached and produce the report.
     pub fn run_to_completion(mut self) -> SimReport {
-        self.core.process_until(f64::INFINITY);
+        while let Some(ev) = self.queue.pop() {
+            if self.horizon_end.is_some_and(|end| ev.t > end) {
+                break;
+            }
+            self.dispatch(ev);
+        }
+        self.finalize_report()
+    }
+
+    /// Create an event on behalf of node `creator` (the node whose handler
+    /// is running), keyed by `(creator, creator's counter)`.
+    #[inline]
+    fn schedule(&mut self, creator: NodeId, t: Time, node: NodeId, kind: EvKind) {
+        let c = &mut self.nodes[creator];
+        c.ctr += 1;
+        debug_assert!(c.ctr < (1 << CTR_BITS));
+        let seq = ((creator as u64) << CTR_BITS) | c.ctr;
+        self.queue.push(Ev { t, seq, node, kind });
+    }
+
+    fn dispatch(&mut self, ev: Ev) {
+        debug_assert!(ev.t >= self.now, "time went backwards");
+        self.now = ev.t;
+        self.events += 1;
+        // Lazy warmup: the node's time-averages restart at exactly `warmup`
+        // before its first post-warmup event — between its events the levels
+        // are constant, so this equals an eager reset at `warmup`.
+        let node = &mut self.nodes[ev.node];
+        if !node.warmup_done && self.warmup > 0.0 && ev.t >= self.warmup {
+            node.warmup_done = true;
+            node.stats.reset_time_averages(self.warmup);
+        }
+        match ev.kind {
+            EvKind::Arrive(msg) => self.on_arrive(ev.node, msg),
+            EvKind::HandlerDone => self.on_handler_done(ev.node),
+            EvKind::PpHandlerDone => self.on_pp_handler_done(ev.node),
+            EvKind::ComputeDone { token } => self.on_compute_done(ev.node, token),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Event handlers
+    // ------------------------------------------------------------------
+
+    fn on_arrive(&mut self, k: NodeId, mut msg: Msg) {
+        msg.arrived_at = self.now;
+        {
+            let node = &mut self.nodes[k];
+            match msg.kind {
+                MsgKind::Request => node.stats.nq.add(self.now, 1.0),
+                MsgKind::Reply => {
+                    debug_assert_eq!(msg.origin, k, "reply must arrive at its origin");
+                    node.stats.ny.add(self.now, 1.0);
+                }
+            }
+            debug_assert!(
+                node.stats.ny.level() <= self.cfg.threads[k].fanout as f64,
+                "a node holds at most `fanout` replies"
+            );
+            let depth = node.stats.nq.level() + node.stats.ny.level();
+            node.stats.max_depth = node.stats.max_depth.max(depth as u64);
+        }
+
+        if self.cfg.protocol_processor {
+            if self.nodes[k].pp_busy {
+                self.nodes[k].pp_fifo.push_back(msg);
+            } else {
+                self.start_pp_handler(k, msg);
+            }
+            return;
+        }
+
+        match self.nodes[k].cpu {
+            Cpu::Idle => self.start_handler(k, msg),
+            Cpu::Handler => self.nodes[k].fifo.push_back(msg),
+            Cpu::Compute { end } => {
+                // Preempt-resume: bank remaining work, invalidate the pending
+                // completion event, run the handler now.
+                let remaining = (end - self.now).max(0.0);
+                let node = &mut self.nodes[k];
+                node.compute_token += 1;
+                node.thread = ThreadState::Ready { remaining };
+                node.stats.busy_compute.set(self.now, 0.0);
+                node.cpu = Cpu::Idle;
+                self.start_handler(k, msg);
+            }
+        }
+    }
+
+    fn start_handler(&mut self, k: NodeId, msg: Msg) {
+        debug_assert!(self.nodes[k].in_service.is_none());
+        let service = match msg.kind {
+            MsgKind::Request => self.cfg.request_handler.sample(&mut self.nodes[k].rng),
+            MsgKind::Reply => self.cfg.reply_handler.sample(&mut self.nodes[k].rng),
+        };
+        {
+            let node = &mut self.nodes[k];
+            match msg.kind {
+                MsgKind::Request => node.stats.busy_req.set(self.now, 1.0),
+                MsgKind::Reply => node.stats.busy_rep.set(self.now, 1.0),
+            }
+            node.cpu = Cpu::Handler;
+            node.in_service = Some(msg);
+        }
+        self.schedule(k, self.now + service, k, EvKind::HandlerDone);
+    }
+
+    fn start_pp_handler(&mut self, k: NodeId, msg: Msg) {
+        debug_assert!(self.nodes[k].pp_in_service.is_none());
+        let service = match msg.kind {
+            MsgKind::Request => self.cfg.request_handler.sample(&mut self.nodes[k].rng),
+            MsgKind::Reply => self.cfg.reply_handler.sample(&mut self.nodes[k].rng),
+        };
+        {
+            let node = &mut self.nodes[k];
+            match msg.kind {
+                MsgKind::Request => node.stats.busy_req.set(self.now, 1.0),
+                MsgKind::Reply => node.stats.busy_rep.set(self.now, 1.0),
+            }
+            node.pp_busy = true;
+            node.pp_in_service = Some(msg);
+        }
+        self.schedule(k, self.now + service, k, EvKind::PpHandlerDone);
+    }
+
+    fn on_handler_done(&mut self, k: NodeId) {
+        let msg = self.nodes[k]
+            .in_service
+            .take()
+            .expect("HandlerDone with no handler in service");
+        {
+            let node = &mut self.nodes[k];
+            node.cpu = Cpu::Idle;
+            match msg.kind {
+                MsgKind::Request => {
+                    node.stats.busy_req.set(self.now, 0.0);
+                    node.stats.nq.add(self.now, -1.0);
+                }
+                MsgKind::Reply => {
+                    node.stats.busy_rep.set(self.now, 0.0);
+                    node.stats.ny.add(self.now, -1.0);
+                }
+            }
+        }
+        self.complete_message(k, msg);
+
+        // CPU dispatch: queued handlers run before the thread resumes (this
+        // is the interference the BKT approximation charges to Rw).
+        if let Some(next) = self.nodes[k].fifo.pop_front() {
+            self.start_handler(k, next);
+        } else if let ThreadState::Ready { .. } = self.nodes[k].thread {
+            self.start_compute(k);
+        }
+    }
+
+    fn on_pp_handler_done(&mut self, k: NodeId) {
+        let msg = self.nodes[k]
+            .pp_in_service
+            .take()
+            .expect("PpHandlerDone with no handler in service");
+        {
+            let node = &mut self.nodes[k];
+            node.pp_busy = false;
+            match msg.kind {
+                MsgKind::Request => {
+                    node.stats.busy_req.set(self.now, 0.0);
+                    node.stats.nq.add(self.now, -1.0);
+                }
+                MsgKind::Reply => {
+                    node.stats.busy_rep.set(self.now, 0.0);
+                    node.stats.ny.add(self.now, -1.0);
+                }
+            }
+        }
+        self.complete_message(k, msg);
+
+        // The CPU never ran the handler: start the thread only if it just
+        // became ready and the CPU is idle.
+        if let (Cpu::Idle, ThreadState::Ready { .. }) = (self.nodes[k].cpu, self.nodes[k].thread) {
+            self.start_compute(k);
+        }
+        if let Some(next) = self.nodes[k].pp_fifo.pop_front() {
+            self.start_pp_handler(k, next);
+        }
+    }
+
+    /// Shared request/reply completion logic (CPU-handler and protocol-
+    /// processor paths): forward, reply, or end the origin's cycle.
+    fn complete_message(&mut self, k: NodeId, mut msg: Msg) {
+        match msg.kind {
+            MsgKind::Request => {
+                let response = self.now - msg.arrived_at;
+                msg.rq_sum += response;
+                if msg.arrived_at >= self.warmup {
+                    let node = &mut self.nodes[k];
+                    node.stats.rq_at_server.push(response);
+                    node.stats.requests_served += 1;
+                }
+                let wire = wire_time(&self.cfg, &mut self.nodes[k].rng);
+                if msg.hops_left > 0 {
+                    msg.hops_left -= 1;
+                    // Forwarding hop: uniform over the other nodes, like the
+                    // multi-hop patterns of Appendix A.
+                    let node = &mut self.nodes[k];
+                    let next = crate::routing::DestChooser::UniformOther.pick(
+                        k,
+                        self.cfg.p,
+                        &mut node.rng,
+                        &mut node.rr,
+                    );
+                    self.schedule(k, self.now + wire, next, EvKind::Arrive(msg));
+                } else {
+                    msg.kind = MsgKind::Reply;
+                    let origin = msg.origin;
+                    self.schedule(k, self.now + wire, origin, EvKind::Arrive(msg));
+                }
+            }
+            MsgKind::Reply => {
+                debug_assert_eq!(msg.origin, k);
+                {
+                    let node = &mut self.nodes[k];
+                    debug_assert!(node.outstanding > 0, "unexpected reply");
+                    node.cyc_rq += msg.rq_sum;
+                    node.cyc_ry += self.now - msg.arrived_at;
+                    node.outstanding -= 1;
+                    if node.outstanding > 0 {
+                        return; // fork-join: wait for the siblings
+                    }
+                }
+                // Last reply of the cycle: record and start the next one.
+                let (r, rw, cyc_rq, cyc_ry) = {
+                    let node = &self.nodes[k];
+                    (
+                        self.now - node.t_cycle_start,
+                        node.t_sent - node.t_cycle_start,
+                        node.cyc_rq,
+                        node.cyc_ry,
+                    )
+                };
+                if self.nodes[k].t_cycle_start >= self.warmup {
+                    let node = &mut self.nodes[k];
+                    node.stats.r.push(r);
+                    node.stats.rw.push(rw);
+                    node.stats.rq.push(cyc_rq);
+                    node.stats.ry.push(cyc_ry);
+                    node.stats.cycles += 1;
+                    if let Some(trace) = &mut self.trace {
+                        trace.push(r);
+                    }
+                }
+                self.nodes[k].cycles_done += 1;
+                self.makespan = self.now;
+
+                let quota_left = self
+                    .max_cycles
+                    .is_none_or(|n| self.nodes[k].cycles_done < n);
+                if quota_left {
+                    let w = self.cfg.threads[k]
+                        .work
+                        .as_ref()
+                        .expect("reply arrived at a server node")
+                        .sample(&mut self.nodes[k].rng);
+                    let node = &mut self.nodes[k];
+                    node.t_cycle_start = self.now;
+                    node.thread = ThreadState::Ready { remaining: w };
+                } else {
+                    self.nodes[k].thread = ThreadState::Done;
+                }
+            }
+        }
+    }
+
+    fn start_compute(&mut self, k: NodeId) {
+        let remaining = match self.nodes[k].thread {
+            ThreadState::Ready { remaining } => remaining,
+            other => unreachable!("start_compute on thread in state {other:?}"),
+        };
         debug_assert!(
-            self.core.outbox.is_empty(),
-            "sequential core owns all nodes"
+            self.cfg.protocol_processor || self.nodes[k].fifo.is_empty(),
+            "compute must not start with queued handlers"
         );
-        finalize_report(vec![self.core])
+        let node = &mut self.nodes[k];
+        node.compute_token += 1;
+        let token = node.compute_token;
+        node.thread = ThreadState::Running;
+        node.cpu = Cpu::Compute {
+            end: self.now + remaining,
+        };
+        node.stats.busy_compute.set(self.now, 1.0);
+        self.schedule(k, self.now + remaining, k, EvKind::ComputeDone { token });
+    }
+
+    fn on_compute_done(&mut self, k: NodeId, token: u64) {
+        if self.nodes[k].compute_token != token {
+            return; // stale: the thread was preempted after scheduling this
+        }
+        debug_assert!(matches!(self.nodes[k].cpu, Cpu::Compute { .. }));
+        debug_assert_eq!(self.nodes[k].thread, ThreadState::Running);
+        {
+            let node = &mut self.nodes[k];
+            node.stats.busy_compute.set(self.now, 0.0);
+            node.cpu = Cpu::Idle;
+            node.thread = ThreadState::Blocked;
+        }
+        // Issue the cycle's blocking request(s); sending is free, each
+        // message's wire time is St (or sampled).
+        let spec = &self.cfg.threads[k];
+        let hops = spec.hops;
+        let fanout = spec.fanout;
+        {
+            let node = &mut self.nodes[k];
+            node.t_sent = self.now;
+            node.outstanding = fanout;
+            node.cyc_rq = 0.0;
+            node.cyc_ry = 0.0;
+        }
+        for _ in 0..fanout {
+            let node = &mut self.nodes[k];
+            let dst = self.cfg.threads[k]
+                .dest
+                .pick(k, self.cfg.p, &mut node.rng, &mut node.rr);
+            debug_assert_ne!(dst, k, "requests must target another node");
+            let msg = Msg {
+                kind: MsgKind::Request,
+                origin: k,
+                hops_left: hops - 1,
+                rq_sum: 0.0,
+                arrived_at: 0.0,
+            };
+            let wire = wire_time(&self.cfg, &mut self.nodes[k].rng);
+            self.schedule(k, self.now + wire, dst, EvKind::Arrive(msg));
+        }
+    }
+
+    /// Assemble the [`SimReport`] of the finished run. Nodes are visited in
+    /// id order, which fixes the Welford merge sequence and therefore every
+    /// pooled statistic.
+    fn finalize_report(mut self) -> SimReport {
+        let (t_end, window) = match self.horizon_end {
+            Some(end) => (end, end - self.warmup),
+            None => (self.makespan, self.makespan),
+        };
+
+        // Nodes whose events all predate the warmup boundary (or that never
+        // saw an event) missed the lazy reset; apply it now so their
+        // time-averages cover the measurement window like everyone else's.
+        if self.warmup > 0.0 {
+            for node in self.nodes.iter_mut().filter(|n| !n.warmup_done) {
+                node.warmup_done = true;
+                node.stats.reset_time_averages(self.warmup);
+            }
+        }
+
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        let mut pooled_r = Welford::new();
+        let mut pooled_rw = Welford::new();
+        let mut pooled_rq = Welford::new();
+        let mut pooled_ry = Welford::new();
+        let mut total_cycles = 0u64;
+        let mut sum_uq = 0.0;
+        let mut sum_uy = 0.0;
+        let mut sum_qq = 0.0;
+        let mut sum_qy = 0.0;
+
+        for node in &self.nodes {
+            let s = &node.stats;
+            let summary = NodeSummary {
+                mean_r: s.r.mean(),
+                mean_rw: s.rw.mean(),
+                mean_rq: s.rq.mean(),
+                mean_ry: s.ry.mean(),
+                mean_rq_at_server: s.rq_at_server.mean(),
+                qq: s.nq.average(t_end),
+                qy: s.ny.average(t_end),
+                uq: s.busy_req.average(t_end),
+                uy: s.busy_rep.average(t_end),
+                u_compute: s.busy_compute.average(t_end),
+                cycles: s.cycles,
+                requests_served: s.requests_served,
+                max_depth: s.max_depth,
+            };
+            pooled_r.merge(&s.r);
+            pooled_rw.merge(&s.rw);
+            pooled_rq.merge(&s.rq);
+            pooled_ry.merge(&s.ry);
+            total_cycles += s.cycles;
+            sum_uq += summary.uq;
+            sum_uy += summary.uy;
+            sum_qq += summary.qq;
+            sum_qy += summary.qy;
+            nodes.push(summary);
+        }
+
+        let p = nodes.len() as f64;
+        let aggregate = Aggregate {
+            mean_r: pooled_r.mean(),
+            r_std_err: pooled_r.std_err(),
+            mean_rw: pooled_rw.mean(),
+            mean_rq: pooled_rq.mean(),
+            mean_ry: pooled_ry.mean(),
+            mean_uq: sum_uq / p,
+            mean_uy: sum_uy / p,
+            mean_qq: sum_qq / p,
+            mean_qy: sum_qy / p,
+            total_cycles,
+            throughput: if window > 0.0 {
+                total_cycles as f64 / window
+            } else {
+                0.0
+            },
+        };
+
+        SimReport {
+            nodes,
+            aggregate,
+            window,
+            makespan: self.makespan,
+            events: self.events,
+            cycle_trace: self.trace.unwrap_or_default(),
+        }
     }
 }
 

@@ -32,11 +32,7 @@
 //! run in parallel with work stealing ([`run_replications`]), optionally
 //! under a sequential-precision stopping rule ([`run_until_precision`]),
 //! and the [`validate`] module turns replications plus a model prediction
-//! into an interval-aware pass/fail verdict. A conservative parallel engine
-//! ([`par`]) partitions the node set into logical processes synchronized by
-//! lookahead and null messages — proven **bit-identical** to the sequential
-//! engine for every partition and worker count by a differential
-//! equivalence suite (`tests/par_differential.rs`, DESIGN.md §13).
+//! into an interval-aware pass/fail verdict.
 //!
 //! # Example
 //!
@@ -72,7 +68,6 @@
 
 pub mod config;
 pub mod engine;
-pub mod par;
 pub mod routing;
 pub mod runner;
 pub mod sched;
@@ -81,7 +76,6 @@ pub mod validate;
 
 pub use config::{ConfigError, SimConfig, StopCondition, ThreadSpec};
 pub use engine::{stream_seed, Engine};
-pub use par::{lookahead, run_par, ParOptions};
 pub use routing::DestChooser;
 pub use runner::{
     run, run_paired, run_paired_until, run_replications, run_replications_with, run_traced,

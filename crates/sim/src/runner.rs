@@ -8,26 +8,13 @@ use crate::sched::Scheduler;
 use crate::stats::SimReport;
 use lopc_stats::{Confidence, PairedOutcome, StoppingRule, Summary};
 
-/// One simulation run, honouring the `LOPC_TEST_THREADS` override: when the
-/// environment forces a worker count, route through the conservative
-/// parallel engine (bit-identical by construction — that's what the CI
-/// matrix is verifying); otherwise run the sequential engine directly.
+/// One simulation run on the adaptive (`None`) or an explicit scheduler,
+/// optionally recording the cycle trace.
 fn run_single(
     cfg: &SimConfig,
     scheduler: Option<Scheduler>,
     traced: bool,
 ) -> Result<SimReport, ConfigError> {
-    if let Some(threads) = crate::validate::env_threads() {
-        return crate::par::run_par(
-            cfg,
-            &crate::par::ParOptions {
-                lps: 0,
-                threads,
-                scheduler,
-                trace: traced,
-            },
-        );
-    }
     let engine = match scheduler {
         None => Engine::new(cfg.clone())?,
         Some(s) => Engine::with_scheduler(cfg.clone(), s)?,
@@ -137,35 +124,12 @@ fn run_index_range(
 ) -> Vec<SimReport> {
     let count = range.len();
     let base = range.start;
-    // With fewer replications than cores the spare cores would idle for
-    // the whole batch: split them evenly across replications and run each
-    // one through the conservative parallel engine, which is bit-identical
-    // to the sequential engine by construction (see [`crate::par`]). An
-    // explicit `LOPC_TEST_THREADS` override still wins via `run_single`.
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers_per_rep = avail.checked_div(count).unwrap_or(0);
     let run_one = |i: usize| {
         let mut c = cfg.clone();
         c.seed = cfg.seed.wrapping_add((base + i) as u64);
         // Config validated by the caller; the per-replication clone only
-        // changes the seed. Routing through run_single keeps replications
-        // under the LOPC_TEST_THREADS override too.
-        if workers_per_rep >= 2 && crate::validate::env_threads().is_none() {
-            crate::par::run_par(
-                &c,
-                &crate::par::ParOptions {
-                    lps: 0,
-                    threads: workers_per_rep,
-                    scheduler,
-                    trace: false,
-                },
-            )
-            .expect("validated config")
-        } else {
-            run_single(&c, scheduler, false).expect("validated config")
-        }
+        // changes the seed.
+        run_single(&c, scheduler, false).expect("validated config")
     };
 
     let threads = lopc_solver::steal::worker_count(count);
@@ -213,11 +177,8 @@ fn run_index_range(
 /// ([`lopc_solver::steal::WorkQueue`]): an idle core always picks up the
 /// next unclaimed replication, so unequal replication costs (different seeds
 /// can simulate very different event counts) never serialize the batch the
-/// way static chunking did. When there are *fewer* replications than cores,
-/// the spare cores are split evenly across replications and each runs
-/// through the conservative parallel engine ([`crate::par::run_par`]),
-/// which is bit-identical to the sequential engine — results never depend
-/// on the machine's core count.
+/// way static chunking did. Each replication is one sequential run, so
+/// results never depend on the machine's core count.
 ///
 /// # Example
 ///

@@ -90,16 +90,6 @@ impl Scheduler {
             Scheduler::Calendar
         }
     }
-
-    /// Adaptive choice for one of `n_lps` logical processes sharing the
-    /// machine-wide pending population: each per-LP queue holds roughly
-    /// `pending_hint / n_lps` events, so the crossover is evaluated on that
-    /// share (rounded up — an over-estimate can only pick the calendar
-    /// queue earlier, which degrades gracefully). `n_lps <= 1` is exactly
-    /// [`Scheduler::auto_for`].
-    pub fn auto_for_lp(pending_hint: usize, n_lps: usize) -> Scheduler {
-        Scheduler::auto_for(pending_hint.div_ceil(n_lps.max(1)))
-    }
 }
 
 /// A schedulable item: a fire time plus a unique sequence number used to
@@ -802,34 +792,6 @@ mod tests {
         assert_eq!(Scheduler::auto_for(1024), Scheduler::Calendar);
     }
 
-    /// Pins the per-LP crossover: the hint each LP sees is its *share* of
-    /// the machine-wide pending population, rounded up. 64 events over 2
-    /// LPs is 32 per LP — exactly the heap's limit — while 66 over 2 is 33
-    /// and tips to the calendar queue; a lone LP degenerates to `auto_for`.
-    #[test]
-    fn adaptive_crossover_accounts_for_lp_share() {
-        assert_eq!(
-            Scheduler::auto_for_lp(64, 2),
-            Scheduler::BinaryHeap,
-            "64/2 = 32 pending per LP stays on the heap"
-        );
-        assert_eq!(
-            Scheduler::auto_for_lp(66, 2),
-            Scheduler::Calendar,
-            "66/2 = 33 pending per LP crosses over"
-        );
-        // Rounding is up: 65/2 -> 33, not 32.
-        assert_eq!(Scheduler::auto_for_lp(65, 2), Scheduler::Calendar);
-        // Large machine, many LPs: the per-LP share is what matters.
-        assert_eq!(Scheduler::auto_for_lp(256, 8), Scheduler::BinaryHeap);
-        assert_eq!(Scheduler::auto_for_lp(1024, 8), Scheduler::Calendar);
-        // Degenerate cases mirror auto_for.
-        for hint in [0, 1, 32, 33, 1024] {
-            assert_eq!(Scheduler::auto_for_lp(hint, 1), Scheduler::auto_for(hint));
-            assert_eq!(Scheduler::auto_for_lp(hint, 0), Scheduler::auto_for(hint));
-        }
-    }
-
     // -----------------------------------------------------------------
     // Calendar-queue edge cases not reachable through the differential
     // suite's random interleavings.
@@ -983,9 +945,8 @@ mod tests {
     }
 
     /// Shrink at low occupancy: drain a large population down to a handful
-    /// of stragglers and verify the wheel contracts (the parallel engine's
-    /// per-LP queues live near this regime — a few events per LP), while
-    /// the survivors still pop in key order.
+    /// of stragglers and verify the wheel contracts, while the survivors
+    /// still pop in key order.
     #[test]
     fn shrink_at_low_occupancy_preserves_order_and_contracts() {
         let mut rng = SmallRng::seed_from_u64(41);

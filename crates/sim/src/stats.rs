@@ -213,7 +213,7 @@ impl Default for NodeStats {
 ///
 /// `PartialEq` compares every field bit-for-bit (`f64` equality, no
 /// tolerance) — this is deliberate: the differential suites assert that
-/// schedulers and the parallel engine reproduce *exactly* the same numbers.
+/// both schedulers reproduce *exactly* the same numbers.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodeSummary {
     /// Mean cycle response time `R` (0 if the node completed no cycles).

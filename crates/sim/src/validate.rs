@@ -75,30 +75,6 @@ pub fn env_scheduler() -> Option<Scheduler> {
     })
 }
 
-/// Worker-thread count forced by `LOPC_TEST_THREADS`, if any.
-///
-/// When set, single-run entry points ([`crate::run`], [`crate::run_traced`],
-/// [`crate::run_with_scheduler`]) route through the conservative parallel
-/// engine ([`crate::par::run_par`]) with this many workers. The parallel
-/// engine is bit-identical to the sequential one by construction, so the CI
-/// matrix uses this to run the whole tier-1 suite under 1/2/4 workers —
-/// any divergence is a determinism regression. An unparsable or zero value
-/// panics loudly rather than silently testing the wrong thing.
-pub fn env_threads() -> Option<usize> {
-    static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| match std::env::var("LOPC_TEST_THREADS") {
-        Err(_) => None,
-        Ok(v) if v.is_empty() => None,
-        Ok(v) => {
-            let n: usize = v.parse().unwrap_or_else(|_| {
-                panic!("LOPC_TEST_THREADS must be a positive integer, got {v:?}")
-            });
-            assert!(n >= 1, "LOPC_TEST_THREADS must be >= 1, got {n}");
-            Some(n)
-        }
-    })
-}
-
 /// Seed offset from `LOPC_TEST_SEED_OFFSET` (0 when unset).
 ///
 /// Validation tests add this to their base seeds so CI can prove the suite

@@ -16,8 +16,8 @@
 
 use lopc_dist::ServiceTime;
 use lopc_sim::{
-    run_with_scheduler, BinaryHeapQueue, CalendarQueue, DestChooser, EventQueue, Keyed, Scheduler,
-    SimConfig, StopCondition, ThreadSpec,
+    run_with_scheduler, BinaryHeapQueue, CalendarQueue, DestChooser, Engine, EventQueue, Keyed,
+    Scheduler, SimConfig, StopCondition, ThreadSpec,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -212,4 +212,92 @@ fn default_scheduler_matches_both_explicit_schedulers() {
     assert_eq!(default.aggregate.mean_r, cal.aggregate.mean_r);
     assert_eq!(default.aggregate.mean_r, heap.aggregate.mean_r);
     assert_eq!(default.events, heap.events);
+}
+
+/// FNV-1a over the bit patterns of a cycle trace: any change to a single
+/// recorded response time, or to their order, changes the hash.
+fn trace_hash(trace: &[f64]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for x in trace {
+        for byte in x.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// The golden configurations: constant wires, sampled (uniform) wires on
+/// the protocol-processor variant, a client–server makespan run, and a
+/// fork-join multi-hop run with high-variance service times. Seeds are
+/// fixed (not shifted by `LOPC_TEST_SEED_OFFSET`): the pins are per seed.
+fn golden_configs() -> Vec<(&'static str, SimConfig)> {
+    let constant_wires = drawn_config(12, 600.0, 131.0, 1, 1, 1, false, true, 11);
+
+    let mut uniform_pp = drawn_config(10, 400.0, 150.0, 1, 1, 1, true, true, 23);
+    uniform_pp.latency_dist = Some(ServiceTime::uniform(15.0, 35.0));
+
+    let mut threads = vec![ThreadSpec::server(); 8];
+    for spec in threads.iter_mut().skip(2) {
+        *spec = ThreadSpec {
+            work: Some(ServiceTime::exponential(400.0)),
+            dest: DestChooser::UniformAmong(vec![0, 1]),
+            hops: 1,
+            fanout: 1,
+        };
+    }
+    let client_server = SimConfig {
+        p: 8,
+        net_latency: 10.0,
+        request_handler: ServiceTime::exponential(131.0),
+        reply_handler: ServiceTime::exponential(131.0),
+        threads,
+        protocol_processor: false,
+        latency_dist: None,
+        stop: StopCondition::CyclesPerThread { n: 40 },
+        seed: 37,
+    };
+
+    let fork_join = drawn_config(9, 800.0, 90.0, 2, 2, 2, false, true, 41);
+
+    vec![
+        ("constant_wires", constant_wires),
+        ("uniform_wires_pp", uniform_pp),
+        ("client_server_makespan", client_server),
+        ("fork_join_multihop", fork_join),
+    ]
+}
+
+/// Golden reports: fixed configurations must keep producing the exact
+/// event count, mean response time, cycle count and per-cycle trace they
+/// produced when pinned, under both schedulers. Any engine refactor that
+/// changes event order, RNG consumption or the trace order fails here.
+#[test]
+fn golden_reports_are_pinned() {
+    // (events, mean_r bits, total cycles, cycle-trace hash), one per config.
+    let pins: [(u64, u64, u64, u64); 4] = [
+        (1269, 0x4090_27BC_4C3D_F50C, 190, 0x50DD_D925_8BCA_685D),
+        (1107, 0x408B_FD13_FECA_79A1, 188, 0x7E58_7846_ECD3_5672),
+        (1200, 0x4089_A174_6EA2_2BF8, 240, 0x1E12_8DD0_96C8_F96F),
+        (1635, 0x4096_A281_479D_7566, 90, 0x20C1_A56C_C620_39EF),
+    ];
+    for ((name, cfg), pin) in golden_configs().into_iter().zip(pins) {
+        for scheduler in [Scheduler::Calendar, Scheduler::BinaryHeap] {
+            let report = Engine::with_scheduler(cfg.clone(), scheduler)
+                .unwrap()
+                .with_cycle_trace()
+                .run_to_completion();
+            let got = (
+                report.events,
+                report.aggregate.mean_r.to_bits(),
+                report.aggregate.total_cycles,
+                trace_hash(&report.cycle_trace),
+            );
+            assert_eq!(
+                got, pin,
+                "{name} under {scheduler:?}: got ({}, {:#018X}, {}, {:#018X})",
+                got.0, got.1, got.2, got.3
+            );
+        }
+    }
 }
