@@ -1,4 +1,4 @@
-//! Solver strategy bench: bisection vs secant vs damped fixed-point on the
+//! Solver strategy bench: bisection vs damped fixed-point on the
 //! §5.3 `F[R] = R` equation (the quartic the thesis solves numerically).
 //!
 //! Results are persisted as the `solver_perf` section of `BENCH_sim.json`
@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use lopc_bench::baseline::{self, Section};
 use lopc_bench::params::fig5_machine;
 use lopc_core::AllToAll;
-use lopc_solver::{bisect, secant, solve_damped, FixedPointOptions};
+use lopc_solver::{bisect, solve_damped, FixedPointOptions};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -16,11 +16,8 @@ fn bench(c: &mut Criterion) {
     let lo = model.contention_free();
     let hi = model.upper_bound();
 
-    // Correctness cross-check before timing: all three agree.
+    // Correctness cross-check before timing: both agree.
     let r_bis = bisect(|r| model.eval_f(r) - r, lo, hi + 1.0, 1e-10, 200)
-        .unwrap()
-        .x;
-    let r_sec = secant(|r| model.eval_f(r) - r, lo + 1.0, hi, 1e-9, 100)
         .unwrap()
         .x;
     let r_fp = solve_damped(
@@ -34,23 +31,14 @@ fn bench(c: &mut Criterion) {
     )
     .unwrap()
     .x[0];
-    println!("[solver_perf] bisection {r_bis:.6} / secant {r_sec:.6} / fixed-point {r_fp:.6}");
-    assert!((r_bis - r_sec).abs() < 1e-4 && (r_bis - r_fp).abs() < 1e-4);
+    println!("[solver_perf] bisection {r_bis:.6} / fixed-point {r_fp:.6}");
+    assert!((r_bis - r_fp).abs() < 1e-4);
 
     let mut g = c.benchmark_group("solver_perf");
     g.bench_function("bisection", |b| {
         b.iter(|| {
             black_box(
                 bisect(|r| model.eval_f(r) - r, black_box(lo), hi + 1.0, 1e-10, 200)
-                    .unwrap()
-                    .x,
-            )
-        })
-    });
-    g.bench_function("secant", |b| {
-        b.iter(|| {
-            black_box(
-                secant(|r| model.eval_f(r) - r, black_box(lo) + 1.0, hi, 1e-9, 100)
                     .unwrap()
                     .x,
             )

@@ -17,11 +17,12 @@
 //!   correctness: requests rehash to the survivors, which simply solve
 //!   colder.
 //! * **Cell shipping** — a node that owns a request but lacks the
-//!   interpolation cell asks the peers for it (`GET /v1/cell/{key}`), and
-//!   sweep-prefetched cells are pushed ahead (`POST /v1/cell/{key}`).
-//!   Every shipped cell is re-verified against a locally solved spot-probe
-//!   before admission ([`import_cell`](crate::interp::InterpCache::import_cell))
-//!   — the sender is never trusted.
+//!   interpolation cell asks the peers for it (`GET /v1/cell/{key}`);
+//!   nothing is pushed ahead of demand, but `POST /v1/cell/{key}` accepts
+//!   a cell from any caller. Every shipped cell is re-verified against a
+//!   locally solved spot-probe before admission
+//!   ([`import_cell`](crate::interp::InterpCache::import_cell)) — the
+//!   sender is never trusted.
 //! * **Peer health** — failure detection is lazy: the first failed
 //!   node-to-node or client-to-node request marks the peer down for a
 //!   cooldown, requests rehash to ring survivors, and once the cooldown
@@ -54,7 +55,7 @@ use crate::client::{
     batch_predictions_from_response, batch_request_body, AttemptError, Client, ClientConfig,
     ClientError, RetryPolicy,
 };
-use crate::codec::{cell_from_json, cell_to_json};
+use crate::codec::cell_from_json;
 use crate::interp::{CellExport, CellSource};
 use crate::json::Json;
 use lopc_core::{Prediction, Scenario};
@@ -271,7 +272,7 @@ struct PeerState {
     health: Health,
     /// Pooled keep-alive connection for pull-path requests.
     conn: Mutex<Option<Client>>,
-    /// Requests this process sent to the peer (fetches + pushes).
+    /// Requests this process sent to the peer (cell fetches).
     forwarded: AtomicU64,
     /// Those that failed at transport/protocol level.
     errors: AtomicU64,
@@ -298,7 +299,7 @@ pub struct PeerSnapshot {
     pub addr: String,
     /// This process currently considers the peer reachable.
     pub healthy: bool,
-    /// Node-to-node requests sent to the peer (cell fetches + pushes).
+    /// Node-to-node requests sent to the peer (cell fetches).
     pub forwarded: u64,
     /// Of those, transport/protocol failures.
     pub errors: u64,
@@ -357,7 +358,7 @@ impl ClusterState {
         &self.ring
     }
 
-    /// Cells this node shipped to peers (export hits + push deliveries).
+    /// Cells this node shipped to peers (`GET /v1/cell` export hits).
     pub fn cells_shipped(&self) -> u64 {
         self.cells_shipped.load(Ordering::Relaxed)
     }
@@ -497,99 +498,15 @@ impl ClusterState {
         }
         None
     }
-
-    /// [`ClusterState::fetch_cell`] as a concurrent wave: ask every
-    /// claimable peer simultaneously and keep the first hit in preference
-    /// order. The sweep prefetcher uses this — it cannot know which peer
-    /// warmed ahead, and its pull runs inline in a serving request, so its
-    /// latency must be one round trip, not a serial peer walk.
-    pub fn fetch_cell_speculative(&self, wire_key: &str, key_hash: u64) -> Option<CellExport> {
-        let now = Instant::now();
-        let path = format!("/v1/cell/{wire_key}");
-        let targets: Vec<&PeerState> = self
-            .ring
-            .preference(key_hash)
-            .into_iter()
-            .filter_map(|idx| self.peers[idx].as_ref())
-            .filter(|peer| peer.health.claim(now).is_some())
-            .collect();
-        match targets.len() {
-            0 => None,
-            1 => self.fetch_cell_from(targets[0], &path),
-            _ => std::thread::scope(|s| {
-                let handles: Vec<_> = targets
-                    .iter()
-                    .map(|&peer| s.spawn(|| self.fetch_cell_from(peer, &path)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .filter_map(|h| h.join().expect("cell fetch thread panicked"))
-                    .next()
-            }),
-        }
-    }
-
-    /// Push a freshly built cell to every live peer — a concurrent wave
-    /// from a detached background thread, so the sweep that built the cell
-    /// never waits on the network and one slow peer never delays the rest.
-    /// Best-effort: receivers re-verify, so a lost or corrupted push costs
-    /// nothing but warmth.
-    pub fn push_cell(self: &Arc<Self>, export: &CellExport) {
-        let now = Instant::now();
-        let live: Vec<usize> = (0..self.peers.len())
-            .filter(|&i| {
-                self.peers[i]
-                    .as_ref()
-                    .is_some_and(|p| p.health.claim(now).is_some())
-            })
-            .collect();
-        if live.is_empty() {
-            return;
-        }
-        let state = Arc::clone(self);
-        let body = cell_to_json(export).to_compact();
-        let path = format!("/v1/cell/{}", export.wire_key);
-        std::thread::spawn(move || {
-            let state = &state;
-            let path = &path;
-            let body = &body;
-            std::thread::scope(|s| {
-                for idx in live {
-                    s.spawn(move || {
-                        let Some(peer) = &state.peers[idx] else {
-                            return;
-                        };
-                        if let Ok((status, _)) =
-                            state.peer_request(peer, "POST", path, body.as_bytes())
-                        {
-                            if (200..300).contains(&status) {
-                                state.count_shipped();
-                            }
-                        }
-                    });
-                }
-            });
-        });
-    }
 }
 
 /// The [`CellSource`] the server plugs into its `InterpCache`: pull on
-/// miss (preference-ordered walk — the owner almost always has it), pull
-/// on sweep-prefetch (concurrent wave — whoever warmed ahead answers),
-/// push on sweep-prefetch.
+/// miss (preference-ordered walk — the owner almost always has it).
 pub struct ClusterCellSource(pub Arc<ClusterState>);
 
 impl CellSource for ClusterCellSource {
     fn fetch(&self, wire_key: &str, key_hash: u64) -> Option<CellExport> {
         self.0.fetch_cell(wire_key, key_hash)
-    }
-
-    fn fetch_speculative(&self, wire_key: &str, key_hash: u64) -> Option<CellExport> {
-        self.0.fetch_cell_speculative(wire_key, key_hash)
-    }
-
-    fn offer(&self, export: &CellExport) {
-        self.0.push_cell(export);
     }
 }
 
@@ -1182,7 +1099,7 @@ mod tests {
         let state = ClusterState::new("10.0.0.1:7070".into(), &[], VNODES);
         assert_eq!(state.ring().len(), 1);
         assert!(state.peer_snapshots().is_empty());
-        // No peers: every fetch is a miss, every push a no-op.
+        // No peers: every fetch is a miss.
         assert!(state.fetch_cell("0-20", 12345).is_none());
     }
 

@@ -35,13 +35,9 @@
 //!    `certificate <= max_rel_err`; otherwise they fall back to the exact
 //!    path. `max_rel_err = 0` (the default) never consults the cell index
 //!    at all and stays bit-identical to [`lopc_core::scenario::solve`].
-//! 4. Two consecutive serving cells that share their discrete identity and
-//!    differ by one axis bracket advancing reveal a **sweep direction**:
-//!    the next cell along it is pre-built immediately, so the sweep's next
-//!    first touch finds a finished cell instead of paying build latency.
-//!    Prefetched cells are ordinary cells — same build, same certificate
-//!    gate; a wrong guess costs one speculative build, never a wrong
-//!    answer.
+//!
+//! Cells are built (or pulled from a peer) only when a query touches them;
+//! nothing is built ahead of demand.
 //!
 //! Cells that cannot be trusted — a corner fails to solve, corners
 //! disagree on the discrete optimal `ps`, or a component is `NaN` in some
@@ -67,8 +63,7 @@
 //!   untrusted cell — that key permanently falls back to exact solving.
 //!   Never trust the sender: the probe solve is the only authority.
 //! * a [`CellSource`] plugged in via [`InterpCache::set_cell_source`] lets
-//!   a cell miss ask the cluster for the cell before building it locally,
-//!   and offers freshly prefetched sweep cells for push-to-peers.
+//!   a cell miss ask the cluster for the cell before building it locally.
 //!
 //! Corner solutions are **owned by the cell**, not referenced from the
 //! LRU cache: a certificate can never outlive the data it certifies, and
@@ -237,28 +232,12 @@ pub enum ImportOutcome {
 }
 
 /// The cluster's side of cell shipping, plugged into the cache by the
-/// serving layer. Both calls run on whatever thread missed (or prefetched)
-/// a cell — implementations must bound their own latency (short
-/// timeouts / background threads).
+/// serving layer. The call runs on whatever thread missed the cell —
+/// implementations must bound their own latency (short timeouts).
 pub trait CellSource: Send + Sync {
     /// A cell miss: ask the peers for `wire_key`. `Some` is decoded but
     /// **unverified** — the cache re-verifies before admitting.
     fn fetch(&self, wire_key: &str, key_hash: u64) -> Option<CellExport>;
-
-    /// A *speculative* pull, issued by the sweep prefetcher ahead of
-    /// demand: unlike a miss (where the ring owner almost always has the
-    /// cell, so a preference-ordered walk stops at the first peer), a
-    /// prefetch cannot know which peer warmed ahead, and it runs inline in
-    /// a serving request — implementations should ask all peers in one
-    /// concurrent wave rather than serially. Defaults to [`Self::fetch`]
-    /// for sources with no cheaper wave.
-    fn fetch_speculative(&self, wire_key: &str, key_hash: u64) -> Option<CellExport> {
-        self.fetch(wire_key, key_hash)
-    }
-
-    /// A sweep prefetch built `export` locally: offer it to peers
-    /// (best-effort push; failures are the receiver's problem).
-    fn offer(&self, export: &CellExport);
 }
 
 /// One built cell: brackets, exactly solved corners, certificate.
@@ -408,27 +387,15 @@ impl CellShard {
     }
 }
 
-/// Sweep-cursor state for predictive prefetch: the last cell that served
-/// an interpolated answer. Two *consecutive* serving cells that share
-/// their discrete identity and differ by exactly one axis bracket
-/// advancing reveal a sweep direction; the cell one step further ahead is
-/// then built before the cursor reaches it.
-struct SweepCursor {
-    key: CellKey,
-    brackets: [AxisBracket; INTERP_AXES],
-}
-
 /// The interpolating cache: the sharded exact [`SolutionCache`] plus the
 /// certified cell index layered over it. One instance per server; share by
 /// reference.
 pub struct InterpCache {
     cache: SolutionCache,
     shards: Vec<Mutex<CellShard>>,
-    cursor: Mutex<Option<SweepCursor>>,
     interp_hits: AtomicU64,
     interp_fallbacks: AtomicU64,
     cells_built: AtomicU64,
-    cells_prefetched: AtomicU64,
     cells_received: AtomicU64,
     cells_rejected: AtomicU64,
     /// The cluster hook; absent in single-node operation.
@@ -451,11 +418,9 @@ impl InterpCache {
                     })
                 })
                 .collect(),
-            cursor: Mutex::new(None),
             interp_hits: AtomicU64::new(0),
             interp_fallbacks: AtomicU64::new(0),
             cells_built: AtomicU64::new(0),
-            cells_prefetched: AtomicU64::new(0),
             cells_received: AtomicU64::new(0),
             cells_rejected: AtomicU64::new(0),
             source: OnceLock::new(),
@@ -464,8 +429,7 @@ impl InterpCache {
 
     /// Plug in the cluster's cell source (at most once; later calls are
     /// ignored). With a source set, a cell miss first asks the peers for
-    /// the cell — admitting it only after local re-verification — and
-    /// sweep-prefetched cells are offered back for pushing.
+    /// the cell, admitting it only after local re-verification.
     pub fn set_cell_source(&self, source: Arc<dyn CellSource>) {
         let _ = self.source.set(source);
     }
@@ -492,10 +456,10 @@ impl InterpCache {
         self.cells_built.load(Ordering::Relaxed)
     }
 
-    /// Cells built speculatively by the sweep-direction prefetcher (a
-    /// subset of [`InterpCache::cells_built`]).
+    /// Always 0: cells are built only when a query touches them, never
+    /// speculatively. Kept so callers that report it keep compiling.
     pub fn cells_prefetched(&self) -> u64 {
-        self.cells_prefetched.load(Ordering::Relaxed)
+        0
     }
 
     /// Cells admitted from peers after passing spot-probe re-verification.
@@ -657,7 +621,6 @@ impl InterpCache {
             self.build_cell(scenario, brackets)
         });
         if cell.cert <= max_rel_err {
-            self.advance_cursor(scenario, &axes, &key, &brackets);
             Some((
                 cell.interpolate(&axes),
                 Served::Interpolated {
@@ -666,137 +629,6 @@ impl InterpCache {
             ))
         } else {
             None
-        }
-    }
-
-    /// Record the serving cell in the sweep cursor; when the previous and
-    /// current serving cells are adjacent (same discrete identity, exactly
-    /// one axis bracket advanced), pre-build the next cell along the same
-    /// direction so the sweep's next first-touch finds it already built.
-    ///
-    /// Prefetched cells go through [`InterpCache::build_cell`] like any
-    /// other — they carry a real certificate (or stay untrusted) and are
-    /// gated by the same `cert <= max_rel_err` check when a query actually
-    /// lands in them. A wrong sweep guess costs one speculative build,
-    /// never a wrong answer.
-    fn advance_cursor(
-        &self,
-        scenario: &Scenario,
-        axes: &[AxisValue; INTERP_AXES],
-        key: &CellKey,
-        brackets: &[AxisBracket; INTERP_AXES],
-    ) {
-        let prev = {
-            let mut cursor = self.cursor.lock().expect("sweep cursor poisoned");
-            cursor.replace(SweepCursor {
-                key: key.clone(),
-                brackets: *brackets,
-            })
-        };
-        let Some(prev) = prev else { return };
-        if prev.key == *key {
-            return;
-        }
-        // Same discrete identity (variant, P, ps, k): the bracket words are
-        // the trailing `2 * INTERP_AXES` of the key, everything before them
-        // is discrete.
-        let discrete = key.0.len() - 2 * INTERP_AXES;
-        if prev.key.0.len() != key.0.len() || prev.key.0[..discrete] != key.0[..discrete] {
-            return;
-        }
-        // Exactly one axis advanced by one cell, all others identical.
-        let mut advanced: Option<(usize, bool)> = None;
-        for (i, &c) in brackets.iter().enumerate() {
-            let p = prev.brackets[i];
-            if p == c {
-                continue;
-            }
-            if advanced.is_some() || p.is_degenerate() || c.is_degenerate() {
-                return;
-            }
-            if c.lo == p.hi {
-                advanced = Some((i, true));
-            } else if c.hi == p.lo {
-                advanced = Some((i, false));
-            } else {
-                return;
-            }
-        }
-        let Some((ax, ascending)) = advanced else {
-            return;
-        };
-        // Predict the next cell: probe just past the boundary ahead of the
-        // cursor and snap back onto the grid.
-        let probe = if ascending {
-            brackets[ax].hi * (1.0 + 1e-6)
-        } else if brackets[ax].lo > 0.0 {
-            brackets[ax].lo * (1.0 - 1e-6)
-        } else {
-            return; // the grid ends at 0: nothing ahead
-        };
-        let mut coords: [f64; INTERP_AXES] = std::array::from_fn(|i| axes[i].value);
-        coords[ax] = probe;
-        let Some(next_scenario) = scenario.with_axis_values(coords) else {
-            return;
-        };
-        let mut next_brackets = [AxisBracket { lo: 0.0, hi: 0.0 }; INTERP_AXES];
-        for (i, axis) in next_scenario
-            .interp_axes()
-            .expect("same variant as the serving scenario")
-            .iter()
-            .enumerate()
-        {
-            let (min, max) = axis.kind.valid_range();
-            if !(min..=max).contains(&axis.value) {
-                return;
-            }
-            let Some(b) = axis.kind.bracket(axis.value) else {
-                return;
-            };
-            next_brackets[i] = b;
-        }
-        let Some(next_key) = CellKey::of(&next_scenario, &next_brackets) else {
-            return;
-        };
-        if next_key == *key {
-            return; // probe collapsed back into the serving cell
-        }
-        let slot = self.slot_for(&next_key);
-        if slot.get().is_some() {
-            return; // already built (e.g. the sweep ran here before)
-        }
-        let mut pulled = false;
-        let cell = slot.get_or_init(|| {
-            // Prefetch prefers pulling a peer's finished cell over paying
-            // the corner+probe solves locally. A shipped cell that fails
-            // verification is simply ignored here — a speculative
-            // prefetch is no verdict on the key — and built honestly.
-            if let Some(source) = self.source.get() {
-                if let Some(export) =
-                    source.fetch_speculative(&next_key.to_wire(), next_key.hash64())
-                {
-                    if let Ok(cell) = self.verify_export(&next_key, &export) {
-                        pulled = true;
-                        self.cells_received.fetch_add(1, Ordering::Relaxed);
-                        return cell;
-                    }
-                }
-            }
-            self.cells_built.fetch_add(1, Ordering::Relaxed);
-            self.cells_prefetched.fetch_add(1, Ordering::Relaxed);
-            self.build_cell(&next_scenario, next_brackets)
-        });
-        // Push-on-sweep: a detected sweep direction predicts the *peers'*
-        // future just as well as ours — offer the fresh cell so a sweep
-        // fanned out across the ring warms every node it will touch. Cells
-        // that just arrived from a peer are not echoed back.
-        if pulled {
-            return;
-        }
-        if let Some(source) = self.source.get() {
-            if let Some(export) = make_export(&next_key, cell) {
-                source.offer(&export);
-            }
         }
     }
 
@@ -839,11 +671,10 @@ impl InterpCache {
         keys
     }
 
-    /// Admit a cell shipped by a peer (the `POST /v1/cell/{key}` push
-    /// path), re-verifying its certificate against a locally solved
-    /// spot-probe first. A rejected import poisons the key with an
-    /// untrusted cell — permanently exact — unless a trusted cell is
-    /// already resident.
+    /// Admit a cell posted to `POST /v1/cell/{key}`, re-verifying its
+    /// certificate against a locally solved spot-probe first. A rejected
+    /// import poisons the key with an untrusted cell — permanently exact —
+    /// unless a trusted cell is already resident.
     pub fn import_cell(&self, export: &CellExport) -> ImportOutcome {
         let Some(key) = CellKey::from_wire(&export.wire_key) else {
             self.cells_rejected.fetch_add(1, Ordering::Relaxed);
@@ -1375,45 +1206,24 @@ mod tests {
     }
 
     #[test]
-    fn sweep_direction_prefetch_builds_the_next_cell() {
+    fn sweep_builds_only_the_cells_it_touches() {
         let c = interp_cache();
-        // Two consecutive 1-D cells along W establish an ascending sweep;
-        // the third cell must be prefetched before any query lands in it.
+        // Two consecutive 1-D cells along W: each query builds its own
+        // cell and nothing is built ahead of the sweep.
         let (_, s1) = c.predict_traced(&a2a(765.0), 1e-2).unwrap();
         let (_, s2) = c.predict_traced(&a2a(785.0), 1e-2).unwrap();
         assert!(matches!(s1, Served::Interpolated { .. }));
         assert!(matches!(s2, Served::Interpolated { .. }));
-        assert_eq!(c.cells_prefetched(), 1, "ascent detected, next cell built");
-        assert_eq!(c.cells_built(), 3);
-        let misses_before = c.cache().misses();
-        let (p, s3) = c.predict_traced(&a2a(805.0), 1e-2).unwrap();
-        assert!(matches!(s3, Served::Interpolated { .. }));
-        // Serving from the prefetched cell costs no solves of its own; the
-        // only new misses belong to the *next* prefetch (the sweep stays
-        // one cell ahead: corner 840 + centre 830, corner 820 is shared).
-        assert_eq!(c.cells_prefetched(), 2, "steady sweep chains prefetches");
-        assert_eq!(c.cells_built(), 4);
-        assert_eq!(
-            c.cache().misses(),
-            misses_before + 2,
-            "the prefetched cell serves the query without new exact solves"
-        );
-        let exact = lopc_core::scenario::solve(&a2a(805.0)).unwrap();
-        assert!(rel_resid(&p, &exact) <= 1e-2);
-        // Descending works symmetrically.
-        let c = interp_cache();
-        c.predict_traced(&a2a(805.0), 1e-2).unwrap();
-        c.predict_traced(&a2a(785.0), 1e-2).unwrap();
-        assert_eq!(c.cells_prefetched(), 1, "descent detected");
+        assert_eq!(c.cells_built(), 2, "only touched cells are built");
+        assert_eq!(c.cells(), 2);
     }
 
     #[test]
-    fn prefetched_cells_serve_only_with_a_valid_certificate() {
+    fn sweep_cells_serve_only_with_a_valid_certificate() {
         // A client-server sweep with ps = None crosses regions where the
-        // discrete optimum moves: some cells (prefetched ones included)
-        // come out untrusted. Every answer must be within its certificate
-        // when interpolated and bit-identical exact otherwise — a
-        // prefetched cell gets no special trust.
+        // discrete optimum moves: some cells come out untrusted. Every
+        // answer must be within its certificate when interpolated and
+        // bit-identical exact otherwise.
         let c = interp_cache();
         let m = Machine::new(32, 50.0, 131.0).with_c2(1.0);
         let q = |w: f64| Scenario::ClientServer {
@@ -1442,10 +1252,6 @@ mod tests {
                 }
             }
         }
-        assert!(
-            c.cells_prefetched() >= 1,
-            "a linear sweep must trigger the prefetcher"
-        );
     }
 
     #[test]
@@ -1624,7 +1430,6 @@ mod tests {
     struct MapSource {
         cells: Mutex<std::collections::HashMap<String, CellExport>>,
         fetches: AtomicU64,
-        offers: Mutex<Vec<CellExport>>,
     }
 
     impl MapSource {
@@ -1632,7 +1437,6 @@ mod tests {
             Arc::new(MapSource {
                 cells: Mutex::new(std::collections::HashMap::new()),
                 fetches: AtomicU64::new(0),
-                offers: Mutex::new(Vec::new()),
             })
         }
     }
@@ -1642,23 +1446,15 @@ mod tests {
             self.fetches.fetch_add(1, Ordering::Relaxed);
             self.cells.lock().unwrap().get(wire_key).cloned()
         }
-
-        fn offer(&self, export: &CellExport) {
-            self.offers.lock().unwrap().push(export.clone());
-        }
     }
 
     #[test]
-    fn cell_source_pull_warms_misses_and_push_offers_prefetches() {
+    fn cell_source_pull_warms_misses() {
         // Node A sweeps and exports; the "network" is a map.
         let a = interp_cache();
         let source_a = MapSource::new();
         a.set_cell_source(Arc::clone(&source_a) as Arc<dyn CellSource>);
         let exports = warm_and_export(&a);
-        assert!(
-            !source_a.offers.lock().unwrap().is_empty(),
-            "a linear sweep must push its prefetched cells"
-        );
 
         // Node B, wired to a source holding A's cells, serves the same
         // sweep by pulling + verifying instead of building.

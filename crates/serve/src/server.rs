@@ -155,8 +155,8 @@ impl Service {
 
     /// Attach the cluster tier: publishes the topology endpoint and plugs
     /// the peer network in as the interpolation cache's
-    /// [`CellSource`](crate::interp::CellSource) — cell misses pull from peers, sweep
-    /// prefetches push to them. One-shot; later calls are ignored.
+    /// [`CellSource`](crate::interp::CellSource) — cell misses pull from
+    /// peers. One-shot; later calls are ignored.
     pub fn enable_cluster(&self, state: Arc<ClusterState>) {
         if self.cluster.set(Arc::clone(&state)).is_ok() {
             self.interp
@@ -192,7 +192,6 @@ impl Service {
             interp_hits: self.interp.interp_hits(),
             interp_fallbacks: self.interp.interp_fallbacks(),
             interp_cells_built: self.interp.cells_built(),
-            interp_cells_prefetched: self.interp.cells_prefetched(),
         }
     }
 
@@ -326,7 +325,8 @@ impl Service {
         }
     }
 
-    /// `POST /v1/cell/{key}`: a peer pushes a cell it built. The body is
+    /// `POST /v1/cell/{key}`: admit a cell export from any caller (the
+    /// nodes themselves only pull, via `GET`). The body is
     /// decoded, checked against the path key, and handed to
     /// [`InterpCache::import_cell`] — which re-verifies the certificate
     /// against a locally solved spot-probe before admitting anything.

@@ -29,7 +29,6 @@ pub mod bisection;
 pub mod error;
 pub mod fixed_point;
 pub mod grid;
-pub mod secant;
 pub mod steal;
 pub mod sweep;
 
@@ -38,7 +37,6 @@ pub use bisection::{bisect, bracket_upward, Root};
 pub use error::SolverError;
 pub use fixed_point::{solve_damped, Convergence, FixedPointOptions};
 pub use grid::{argmax_usize, ArgmaxResult};
-pub use secant::secant;
 pub use steal::WorkQueue;
 pub use sweep::par_map;
 

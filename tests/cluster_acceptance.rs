@@ -330,9 +330,9 @@ fn a_sweep_warmed_on_one_node_serves_warm_from_the_other() {
     );
     let a_solves = nodes[0].service().cache().misses();
 
-    // Node B serves the same sweep from A's shipped cells: pulled on miss
-    // (and possibly pushed by A's sweep prefetcher), each import paying
-    // one local spot-probe solve instead of a full cell build.
+    // Node B serves the same sweep from A's shipped cells, pulled on miss,
+    // each import paying one local spot-probe solve instead of a full
+    // cell build.
     let mut b = Client::connect(nodes[1].addr()).expect("connect B");
     for (s, lib) in sweep.iter().zip(&library) {
         let p = b.predict_within(s, TOL).expect("warm predict on B");
