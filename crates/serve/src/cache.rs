@@ -291,41 +291,30 @@ impl SolutionCache {
         hit
     }
 
-    /// Look up the scenario's quantized key; on a miss, solve through
-    /// [`lopc_core::scenario::solve`] and populate the cache.
-    ///
-    /// The solve runs *outside* the shard lock so concurrent misses in one
-    /// shard do not serialize on the fixed-point iteration; a lost race
-    /// costs one redundant solve, never a wrong answer. Errors are not
-    /// cached (the solve is cheap to fail and the error carries no reusable
-    /// result).
+    /// Look up the scenario's quantized key; on a miss, solve it and
+    /// populate the cache. A one-lane [`SolutionCache::solve_batch`]:
+    /// answers, counters and error handling are the batch path's.
     pub fn get_or_solve(&self, scenario: &Scenario) -> Result<Prediction, ModelError> {
-        let key = CacheKey::of(scenario);
-        let shard = self.shard_for(&key);
-        if let Some(hit) = shard.lock().expect("cache shard poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        let solved = lopc_core::scenario::solve(scenario)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        shard
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(key, solved);
-        Ok(solved)
+        self.solve_batch(std::slice::from_ref(scenario))
+            .pop()
+            .expect("a one-lane batch answers one lane")
     }
 
-    /// Batched [`SolutionCache::get_or_solve`]: look every lane up, dedupe
-    /// the misses by quantized key, solve the unique representatives
-    /// through the SoA batch kernel
-    /// ([`lopc_core::scenario::solve_batch`]), insert the successes, and
-    /// fan results back out to duplicate lanes.
+    /// Answer a batch: look every lane up, dedupe the misses by quantized
+    /// key, solve the unique representatives through the SoA batch kernel
+    /// ([`lopc_core::scenario::solve_batch`], bit-identical to
+    /// [`lopc_core::scenario::solve`]), insert the successes, and fan
+    /// results back out to duplicate lanes.
     ///
-    /// Counter semantics mirror the scalar lane-at-a-time sequence exactly:
-    /// resident keys are hits, each unique solved key is one miss, and a
-    /// duplicate lane of a solved key is a hit (in the scalar sequence it
-    /// would have found the answer the first lane inserted). Errors are
-    /// propagated per lane, never cached, and count neither way.
+    /// Counters read as if the lanes were answered one at a time in
+    /// order: resident keys are hits, each unique solved key is one miss,
+    /// and a duplicate lane of a solved key is a hit (it would have found
+    /// the answer the first lane inserted). Errors are propagated per
+    /// lane, never cached, and count neither way.
+    ///
+    /// The solve runs *outside* every shard lock, so concurrent misses in
+    /// one shard do not serialize on the fixed-point iteration; a lost
+    /// race costs one redundant solve, never a wrong answer.
     pub fn solve_batch(&self, scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>> {
         let n = scenarios.len();
         let keys: Vec<CacheKey> = scenarios.iter().map(CacheKey::of).collect();
@@ -772,8 +761,9 @@ mod tests {
 
     #[test]
     fn solve_batch_matches_scalar_sequence_and_counters() {
-        // The batched path must agree lane for lane — answers *and*
-        // counters — with running get_or_solve over the lanes in order.
+        // The batched path must agree lane for lane with the scalar
+        // library solve of the first lane in each quantization bucket,
+        // and count as if the lanes were answered one at a time.
         let lanes = vec![
             a2a(100.0),
             a2a(500.0),
@@ -781,15 +771,13 @@ mod tests {
             a2a(100.0000001), // quantizes onto lane 0's key too
             a2a(900.0),
         ];
+        let first_in_bucket = [0, 1, 0, 0, 4];
         let batched_cache = SolutionCache::new(4, 16);
         let batched = batched_cache.solve_batch(&lanes);
-        let scalar_cache = SolutionCache::new(4, 16);
-        for (b, s) in batched.iter().zip(&lanes) {
-            let want = scalar_cache.get_or_solve(s).unwrap();
-            assert_eq!(b.as_ref().unwrap().r.to_bits(), want.r.to_bits());
+        for (b, &first) in batched.iter().zip(&first_in_bucket) {
+            let want = lopc_core::scenario::solve(&lanes[first]).unwrap();
+            assert!(crate::predictions_identical(b.as_ref().unwrap(), &want));
         }
-        assert_eq!(batched_cache.misses(), scalar_cache.misses());
-        assert_eq!(batched_cache.hits(), scalar_cache.hits());
         assert_eq!(batched_cache.misses(), 3, "three unique keys");
         assert_eq!(batched_cache.hits(), 2, "two duplicate lanes fan out");
         // A second identical batch is all hits.

@@ -272,12 +272,26 @@ impl Client {
 
     /// Connect with explicit timeouts/retry policy.
     pub fn connect_with(addr: SocketAddr, config: ClientConfig) -> Result<Self, ClientError> {
-        let conn = Conn::dial(addr, &config)?;
-        Ok(Client {
+        let mut client = Self::lazy(addr, config);
+        client.conn = Some(Conn::dial(addr, &config)?);
+        Ok(client)
+    }
+
+    /// A client that dials on its first request instead of now — the
+    /// cluster tier's pooled connections, whose node may be down when the
+    /// pool is built.
+    pub(crate) fn lazy(addr: SocketAddr, config: ClientConfig) -> Self {
+        Client {
             addr,
             config,
-            conn: Some(conn),
-        })
+            conn: None,
+        }
+    }
+
+    /// Is a connection open (so the next request reuses it rather than
+    /// dialing)?
+    pub(crate) fn is_connected(&self) -> bool {
+        self.conn.is_some()
     }
 
     /// The server address this client dials.
@@ -319,54 +333,22 @@ impl Client {
     }
 
     /// One write-request/read-response cycle on the current connection
-    /// (dialing it first if needed).
+    /// (dialing it first if needed): a pipeline of depth one.
     fn attempt(
         &mut self,
         method: &str,
         path: &str,
         body: &[u8],
     ) -> Result<(u16, Vec<u8>), AttemptError> {
-        let before = AttemptError::BeforeResponse;
-        if self.conn.is_none() {
-            self.conn = Some(Conn::dial(self.addr, &self.config).map_err(before)?);
-        }
-        let conn = self.conn.as_mut().expect("connection just dialed");
-        write!(
-            conn.writer,
-            "{method} {path} HTTP/1.1\r\nhost: lopc-serve\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        )
-        .map_err(|e| before(e.into()))?;
-        conn.writer.write_all(body).map_err(|e| before(e.into()))?;
-        conn.writer.flush().map_err(|e| before(e.into()))?;
-        // Peek before parsing: an error or clean EOF *here* means no
-        // response byte was consumed, so the request is safely replayable
-        // (the classic stale keep-alive race — the server idle-closed the
-        // connection while our request was in flight).
-        match conn.reader.fill_buf() {
-            Ok([]) => {
-                return Err(before(ClientError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection before responding",
-                ))))
-            }
-            Ok(_) => {}
-            Err(e) => return Err(before(e.into())),
-        }
-        let resp =
-            read_response(&mut conn.reader).map_err(|e| AttemptError::AfterResponse(e.into()))?;
-        if !resp.keep_alive {
-            // The server declared this connection over (`connection:
-            // close`); keeping it pooled would make the next request hit
-            // the stale keep-alive race deterministically.
-            self.conn = None;
-        }
-        Ok((resp.status, resp.body))
+        self.pipeline_send(method, path, body)
+            .map_err(AttemptError::BeforeResponse)?;
+        self.pipeline_recv()
     }
 
     /// Pipelining, send half: write one request on the current connection
     /// (dialing it first if needed) *without* waiting for the response.
-    /// The cluster router uses this to put every per-owner sub-batch in
+    /// [`Client::request`] is this plus [`Client::pipeline_recv`]; the
+    /// cluster router uses the halves to put every per-owner sub-batch in
     /// flight before reading any reply — the servers overlap their work
     /// while the client is still writing. Must be paired with
     /// [`Client::pipeline_recv`]; interleaving other requests in between
@@ -411,6 +393,10 @@ impl Client {
                 "no connection to receive on",
             ))));
         };
+        // Peek before parsing: an error or clean EOF *here* means no
+        // response byte was consumed, so the request is safely replayable
+        // (the classic stale keep-alive race — the server idle-closed the
+        // connection while our request was in flight).
         match conn.reader.fill_buf() {
             Ok([]) => {
                 self.conn = None;
@@ -428,6 +414,10 @@ impl Client {
         match read_response(&mut conn.reader) {
             Ok(resp) => {
                 if !resp.keep_alive {
+                    // The server declared this connection over
+                    // (`connection: close`); keeping it pooled would make
+                    // the next request hit the stale keep-alive race
+                    // deterministically.
                     self.conn = None;
                 }
                 Ok((resp.status, resp.body))

@@ -30,14 +30,16 @@
 //!   probe token admits exactly one in-flight probe; everyone else keeps
 //!   routing to survivors until the probe succeeds), so recovery needs no
 //!   operator action and a still-dead node never eats a whole wave.
-//! * **Concurrent fan-out** — a routed batch partitions its lanes by
-//!   owner and dispatches every per-owner sub-batch *simultaneously*
-//!   (scoped threads over pooled per-node connections), reassembling the
+//! * **Pipelined fan-out** — a routed batch partitions its lanes by
+//!   owner and puts every per-owner sub-batch in flight at once over
+//!   pooled per-node connections (all requests written back to back,
+//!   then every response read in turn; no threads), reassembling the
 //!   responses in request order. The LoPC lesson applied to ourselves: a
 //!   serial router is a contended server, and the queueing delay it
 //!   manufactures is pure self-inflicted FRC. Failover stays wave-
 //!   synchronous — a sub-batch that dies re-partitions its lanes onto
-//!   ring survivors only after the in-flight wave completes.
+//!   ring survivors only after the in-flight wave completes. A single
+//!   routed prediction is a one-lane batch through the same router.
 //!
 //! Membership is static per process (the `--peer` flags); health is a
 //! per-observer judgment, not gossip — two nodes may briefly disagree
@@ -47,7 +49,7 @@
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::cache::CacheKey;
@@ -265,14 +267,16 @@ impl Health {
     }
 }
 
-/// Liveness + traffic counters for one peer, as judged by this process.
+/// One remote node as judged by this process: a pooled keep-alive
+/// client (it dials on first use and redials after a transport error),
+/// the node's health, and traffic counters. A server's peers and a
+/// [`ClusterClient`]'s route targets are both this type.
 struct PeerState {
     addr: String,
     sock: Option<SocketAddr>,
     health: Health,
-    /// Pooled keep-alive connection for pull-path requests.
     conn: Mutex<Option<Client>>,
-    /// Requests this process sent to the peer (cell fetches).
+    /// Node-to-node requests a server sent to the peer (cell fetches).
     forwarded: AtomicU64,
     /// Those that failed at transport/protocol level.
     errors: AtomicU64,
@@ -289,6 +293,21 @@ impl PeerState {
             forwarded: AtomicU64::new(0),
             errors: AtomicU64::new(0),
         }
+    }
+
+    /// Lock the pooled client, creating it undialed on first use. Holding
+    /// the guard is what keeps one request/response exchange alone on the
+    /// connection.
+    fn client(&self, config: ClientConfig) -> Result<MutexGuard<'_, Option<Client>>, ClientError> {
+        let sock = self.sock.ok_or_else(|| {
+            ClientError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("node address {:?} is not a socket address", self.addr),
+            ))
+        })?;
+        let mut slot = self.conn.lock().expect("node conn poisoned");
+        slot.get_or_insert_with(|| Client::lazy(sock, config));
+        Ok(slot)
     }
 }
 
@@ -432,31 +451,14 @@ impl ClusterState {
         body: &[u8],
     ) -> Result<(u16, Vec<u8>), ClientError> {
         peer.forwarded.fetch_add(1, Ordering::Relaxed);
-        let result = (|| {
-            let Some(sock) = peer.sock else {
-                return Err(ClientError::Io(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("peer address {:?} is not a socket address", peer.addr),
-                )));
-            };
-            let mut conn = peer.conn.lock().expect("peer conn poisoned");
-            let attempt = (|| {
-                if conn.is_none() {
-                    *conn = Some(Client::connect_with(sock, self.peer_config)?);
-                }
-                conn.as_mut()
-                    .expect("just connected")
-                    .request(method, path, body)
-            })();
-            if attempt.is_err() {
-                *conn = None;
-            }
-            attempt
-        })();
+        let result = peer.client(self.peer_config).and_then(|mut slot| {
+            let client = slot.as_mut().expect("created by PeerState::client");
+            client.request(method, path, body)
+        });
         match &result {
-            // A non-2xx status is an *answer*; only transport-level
+            // Any status, 2xx or not, is an *answer*; only transport-level
             // failures indict the peer.
-            Ok(_) | Err(ClientError::Status(..)) => peer.health.mark_up(),
+            Ok(_) => peer.health.mark_up(),
             Err(_) => {
                 peer.errors.fetch_add(1, Ordering::Relaxed);
                 peer.health.mark_down(self.cooldown);
@@ -518,27 +520,15 @@ fn no_reachable_node() -> ClientError {
     ))
 }
 
-/// One route target of a [`ClusterClient`]: a pooled keep-alive connection
-/// (lazily dialed, torn down on transport error) plus the client's health
-/// view of the node. Both live behind shared-state cells so one client can
-/// fan a batch wave out across its nodes from scoped threads.
-struct RouteNode {
-    addr: String,
-    sock: Option<SocketAddr>,
-    conn: Mutex<Option<Client>>,
-    health: Health,
-}
-
 /// A cluster-aware client: fetches the topology from a seed node, rebuilds
-/// the ring, and routes every request (and every batch lane) to its
-/// owner — fanning batches out per owner *concurrently* and reassembling
-/// the responses in request order. Node failures are detected lazily (the
-/// failing request reroutes to the ring survivors) and healed by a single
-/// half-open probe after a cooldown. All routing methods take `&self`: the
-/// client is shareable across threads, and one batch call dispatches its
-/// per-owner sub-batches from a scoped-thread wave.
+/// the ring, and routes every batch lane to its owner — one pipelined wave
+/// of per-owner sub-batches, reassembled in request order. A single
+/// prediction is a one-lane batch. Node failures are detected lazily (the
+/// failing sub-batch reroutes to the ring survivors) and healed by a
+/// single half-open probe after a cooldown. All routing methods take
+/// `&self`: the client is shareable across threads.
 pub struct ClusterClient {
-    nodes: Vec<RouteNode>,
+    nodes: Vec<PeerState>,
     ring: HashRing,
     config: ClientConfig,
     cooldown: Duration,
@@ -578,16 +568,7 @@ impl ClusterClient {
             .ok_or_else(|| ClientError::Protocol("topology missing \"vnodes\"".into()))?
             as usize;
         let ring = HashRing::new(members, vnodes);
-        let nodes = ring
-            .nodes()
-            .iter()
-            .map(|addr| RouteNode {
-                addr: addr.clone(),
-                sock: addr.parse().ok(),
-                conn: Mutex::new(None),
-                health: Health::new(),
-            })
-            .collect();
+        let nodes = ring.nodes().iter().cloned().map(PeerState::new).collect();
         Ok(ClusterClient {
             nodes,
             ring,
@@ -620,121 +601,27 @@ impl ClusterClient {
             .map(|i| self.nodes[i].addr.as_str())
     }
 
-    /// One attempt on one node over its pooled connection (dialed lazily,
-    /// torn down on transport failure). Centralizes the health marks: a
-    /// response — success *or* [`ClientError::Status`] — proves the node
-    /// alive and releases any probe token; a transport-level failure marks
-    /// it down for the cooldown.
-    fn dispatch<T>(
-        &self,
-        idx: usize,
-        op: impl FnOnce(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let node = &self.nodes[idx];
-        let result = (|| {
-            let Some(sock) = node.sock else {
-                return Err(ClientError::Io(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("node address {:?} is not a socket address", node.addr),
-                )));
-            };
-            let mut conn = node.conn.lock().expect("node conn poisoned");
-            let attempt = (|| {
-                if conn.is_none() {
-                    *conn = Some(Client::connect_with(sock, self.config)?);
-                }
-                op(conn.as_mut().expect("just dialed"))
-            })();
-            // A transport failure poisons the pooled connection; a
-            // `Status` is a complete response on a still-good one.
-            if matches!(&attempt, Err(e) if !matches!(e, ClientError::Status(..))) {
-                *conn = None;
-            }
-            attempt
-        })();
-        match &result {
-            Ok(_) | Err(ClientError::Status(..)) => node.health.mark_up(),
-            Err(_) => node.health.mark_down(self.cooldown),
-        }
-        result
-    }
-
-    /// Run `op` against the owner of `key_hash`, failing over clockwise on
-    /// transport errors. A [`ClientError::Status`] is an answer and is
-    /// returned as-is (the routing worked; the request was just bad). Down
-    /// nodes are skipped and a half-open node admits one probe; if *no*
-    /// member grants a claim, the full preference order is forced once, so
-    /// a fully-partitioned client heals instead of erroring forever
-    /// without ever re-dialing.
-    fn with_owner<T>(
-        &self,
-        key_hash: u64,
-        mut op: impl FnMut(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let mut last: Option<ClientError> = None;
-        let now = Instant::now();
-        // Fast path: the ring owner (one binary search, no preference
-        // walk) is claimable and answers — every request on a healthy
-        // ring.
-        let mut tried = None;
-        if let Some(owner) = self.ring.owner(key_hash) {
-            if self.nodes[owner].health.claim(now).is_some() {
-                match self.dispatch(owner, &mut op) {
-                    Ok(v) => return Ok(v),
-                    Err(e @ ClientError::Status(..)) => return Err(e),
-                    Err(e) => {
-                        tried = Some(owner);
-                        last = Some(e);
-                    }
-                }
-            }
-        }
-        let preference = self.ring.preference(key_hash);
-        let mut tried_any = tried.is_some();
-        for &idx in &preference {
-            if Some(idx) == tried || self.nodes[idx].health.claim(now).is_none() {
-                continue; // just failed, down, or another caller probes
-            }
-            tried_any = true;
-            match self.dispatch(idx, &mut op) {
-                Ok(v) => return Ok(v),
-                Err(e @ ClientError::Status(..)) => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        if !tried_any {
-            for &idx in &preference {
-                match self.dispatch(idx, &mut op) {
-                    Ok(v) => return Ok(v),
-                    Err(e @ ClientError::Status(..)) => return Err(e),
-                    Err(e) => last = Some(e),
-                }
-            }
-        }
-        Err(last.unwrap_or_else(no_reachable_node))
-    }
-
     /// Route one exact-mode prediction to its owner.
     pub fn predict(&self, scenario: &Scenario) -> Result<Prediction, ClientError> {
         self.predict_within(scenario, 0.0)
     }
 
-    /// Route one prediction (with tolerance) to its owner.
+    /// Route one prediction (with tolerance) to its owner, as a one-lane
+    /// [`ClusterClient::predict_batch_within`]: same wire request
+    /// (`POST /v1/predict/batch`), same failover, same answers.
     pub fn predict_within(
         &self,
         scenario: &Scenario,
         max_rel_err: f64,
     ) -> Result<Prediction, ClientError> {
-        self.with_owner(scenario_hash(scenario), |client| {
-            client.predict_within(scenario, max_rel_err)
-        })
+        let mut one = self.predict_batch_within(std::slice::from_ref(scenario), max_rel_err)?;
+        Ok(one.pop().expect("a one-lane batch answers one lane"))
     }
 
     /// Route a batch: lanes are partitioned by owner and every sub-batch
-    /// flies **concurrently** — one scoped thread per owner (the caller's
-    /// thread runs the first sub-batch itself), each on that owner's
-    /// pooled connection, with the responses reassembled in request order
-    /// by lane index. A sub-batch that dies on a failing node has its
+    /// flies in one pipelined wave, each on that owner's pooled
+    /// connection, with the responses reassembled in request order by
+    /// lane index. A sub-batch that dies on a failing node has its
     /// lanes re-partitioned onto the ring survivors *after* the in-flight
     /// wave completes; a [`ClientError::Status`] answer (bad request,
     /// unsolvable lane) aborts the whole batch, mirroring the single-node
@@ -859,12 +746,14 @@ impl ClusterClient {
     /// per owner — pipelining beat both). Sub-batches borrow their lanes:
     /// the wave clones zero scenarios.
     ///
-    /// Failure contract, per connection: a send-side or
-    /// pre-response-byte failure consumed nothing, so a retryable one is
-    /// replayed synchronously on a fresh connection (the stale keep-alive
-    /// race); once any response byte has been consumed the error surfaces
-    /// — never replayed — and the lanes re-partition onto survivors in
-    /// the next round, after the whole wave has landed.
+    /// Failure contract, per connection: a failure before the first
+    /// response byte on a *reused* connection is the stale keep-alive
+    /// race — nothing was consumed, so a retryable one is replayed
+    /// synchronously on a fresh connection. A freshly dialed connection
+    /// cannot be stale, so its failure is the node's. Once any response
+    /// byte has been consumed the error surfaces — never replayed — and
+    /// the lanes re-partition onto survivors in the next round, after the
+    /// whole wave has landed.
     #[allow(clippy::type_complexity)]
     fn run_wave(
         &self,
@@ -875,102 +764,60 @@ impl ClusterClient {
         // Ascending node order is the global connection-lock order:
         // concurrent batch callers acquire pool slots without deadlock.
         groups.sort_unstable_by_key(|&(owner, _, _)| owner);
-        enum Sent {
-            /// The request is on the wire (or at least fully buffered).
-            Flying,
-            /// Dialing the node failed: nothing to receive, no replay.
-            DialFailed(ClientError),
-            /// Writing failed on an existing connection: nothing of the
-            /// response was consumed, so a retryable error may replay.
-            SendFailed(ClientError),
-            /// The half-open probe token went to another caller between
-            /// partitioning and dispatch: retryable, no connection held.
-            ClaimLost,
-        }
         // Phase one: put every sub-batch in flight.
         let mut wave = Vec::with_capacity(groups.len());
         for (owner, forced, lanes) in groups {
             let node = &self.nodes[owner];
-            let sub: Vec<&Scenario> = lanes.iter().map(|&i| &scenarios[i]).collect();
-            let body = batch_request_body(&sub, max_rel_err);
             // Claim at dispatch time, not partition time: a half-open
             // node admits exactly one probe across all concurrent
             // callers (forced groups bypass the gate — every member is
-            // down and only re-dialing heals).
+            // down and only re-dialing heals). A lost claim sends nothing.
             if !forced && node.health.claim(Instant::now()).is_none() {
-                wave.push((owner, lanes, sub, None, Sent::ClaimLost));
+                wave.push((owner, lanes, None));
                 continue;
             }
-            let mut guard = node.conn.lock().expect("node conn poisoned");
-            let sent = (|| {
-                let Some(sock) = node.sock else {
-                    return Sent::DialFailed(ClientError::Io(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("node address {:?} is not a socket address", node.addr),
-                    )));
-                };
-                if guard.is_none() {
-                    match Client::connect_with(sock, self.config) {
-                        Ok(client) => *guard = Some(client),
-                        Err(e) => return Sent::DialFailed(e),
-                    }
-                }
-                let client = guard.as_mut().expect("just dialed");
-                match client.pipeline_send("POST", "/v1/predict/batch", body.as_bytes()) {
-                    Ok(()) => Sent::Flying,
-                    Err(e) => Sent::SendFailed(e),
-                }
-            })();
-            wave.push((owner, lanes, sub, Some(guard), sent));
+            let sub: Vec<&Scenario> = lanes.iter().map(|&i| &scenarios[i]).collect();
+            let flight = node.client(self.config).map(|mut slot| {
+                let client = slot.as_mut().expect("created by PeerState::client");
+                let reused = client.is_connected();
+                let body = batch_request_body(&sub, max_rel_err);
+                let sent = client.pipeline_send("POST", "/v1/predict/batch", body.as_bytes());
+                (slot, sub, reused, sent)
+            });
+            wave.push((owner, lanes, Some(flight)));
         }
         // Phase two: collect the responses, applying the per-connection
         // replay gate, and settle each node's health from its outcome.
         wave.into_iter()
-            .map(|(owner, lanes, sub, guard, sent)| {
+            .map(|(owner, lanes, flight)| {
                 let node = &self.nodes[owner];
-                // A lost claim never touched the node: no connection, no
-                // health verdict (marking down here would clobber the
-                // *winning* prober's token). The error is retryable, so
-                // the lanes re-partition next round.
-                if guard.is_none() {
-                    return (
-                        owner,
-                        lanes,
-                        Err(ClientError::Io(io::Error::new(
-                            io::ErrorKind::WouldBlock,
-                            "node went down (or its probe was taken) mid-partition",
-                        ))),
+                // A lost claim never touched the node: no health verdict
+                // (marking down here would clobber the *winning* prober's
+                // token). The error is retryable, so the lanes
+                // re-partition next round.
+                let Some(flight) = flight else {
+                    let lost = io::Error::new(
+                        io::ErrorKind::WouldBlock,
+                        "node went down (or its probe was taken) mid-partition",
                     );
-                }
-                let result = match (guard, sent) {
-                    (None, _) => unreachable!("handled above"),
-                    (Some(_), Sent::DialFailed(e)) => Err(e),
-                    (Some(mut guard), Sent::SendFailed(e)) => {
-                        let client = guard.as_mut().expect("send implies a client");
-                        if e.is_retryable() {
+                    return (owner, lanes, Err(ClientError::Io(lost)));
+                };
+                let result = flight.and_then(|(mut slot, sub, reused, sent)| {
+                    let client = slot.as_mut().expect("created by PeerState::client");
+                    let received = match sent {
+                        Ok(()) => client.pipeline_recv(),
+                        Err(e) => Err(AttemptError::BeforeResponse(e)),
+                    };
+                    match received {
+                        Ok((status, body)) => batch_predictions_from_response(status, body),
+                        Err(AttemptError::BeforeResponse(e)) if reused && e.is_retryable() => {
                             client.predict_batch_refs(&sub, max_rel_err)
-                        } else {
+                        }
+                        Err(AttemptError::BeforeResponse(e) | AttemptError::AfterResponse(e)) => {
                             Err(e)
                         }
                     }
-                    (Some(mut guard), Sent::Flying) => {
-                        let client = guard.as_mut().expect("in flight implies a client");
-                        match client.pipeline_recv() {
-                            Ok((status, body)) => batch_predictions_from_response(status, body),
-                            Err(AttemptError::BeforeResponse(e)) if e.is_retryable() => {
-                                // Stale keep-alive race: the server idle-
-                                // closed under the send; no response byte
-                                // was consumed, so replay on a fresh
-                                // connection.
-                                client.predict_batch_refs(&sub, max_rel_err)
-                            }
-                            Err(
-                                AttemptError::BeforeResponse(e) | AttemptError::AfterResponse(e),
-                            ) => Err(e),
-                        }
-                    }
-                    (Some(_), Sent::ClaimLost) => unreachable!("claim-lost holds no lock"),
-                };
+                });
                 match &result {
                     Ok(_) | Err(ClientError::Status(..)) => node.health.mark_up(),
                     Err(_) => node.health.mark_down(self.cooldown),

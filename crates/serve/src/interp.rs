@@ -500,60 +500,60 @@ impl InterpCache {
         scenario: &Scenario,
         max_rel_err: f64,
     ) -> Result<(Prediction, Served), ModelError> {
-        // NaN and infinities count as "no usable tolerance": exact mode.
-        if !max_rel_err.is_finite() || max_rel_err <= 0.0 {
-            return self
-                .cache
-                .get_or_solve(scenario)
-                .map(|p| (p, Served::Exact));
-        }
-        // The exact answer may already be resident — never interpolate past
-        // a bit-identical hit.
-        if let Some(p) = self.cache.lookup(scenario) {
-            return Ok((p, Served::Exact));
-        }
-        match self.try_interpolate(scenario, max_rel_err) {
-            Some(served) => {
-                self.interp_hits.fetch_add(1, Ordering::Relaxed);
-                Ok(served)
-            }
-            None => {
-                self.interp_fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.cache
-                    .get_or_solve(scenario)
-                    .map(|p| (p, Served::Exact))
-            }
-        }
+        self.answer(std::slice::from_ref(scenario), max_rel_err)
+            .pop()
+            .expect("a one-lane batch answers one lane")
     }
 
     /// Batched [`InterpCache::predict`]: every lane is answered by the same
-    /// policy (exact mode, resident-exact shortcut, certified
-    /// interpolation, exact fallback), but all lanes that end up needing an
-    /// exact solve go through one key-deduped
-    /// [`SolutionCache::solve_batch`] call — the SoA kernel — instead of
-    /// lane-at-a-time solves.
+    /// policy, and all lanes that end up needing an exact solve go through
+    /// one key-deduped [`SolutionCache::solve_batch`] call — the SoA
+    /// kernel.
     pub fn predict_batch(
         &self,
         scenarios: &[Scenario],
         max_rel_err: f64,
     ) -> Vec<Result<Prediction, ModelError>> {
-        // Exact mode for the whole batch (the contract is per-request).
+        self.answer(scenarios, max_rel_err)
+            .into_iter()
+            .map(|r| r.map(|(p, _)| p))
+            .collect()
+    }
+
+    /// The answering policy, per lane: exact mode for the whole batch (the
+    /// tolerance is per request), else the resident-exact shortcut, then
+    /// certified interpolation, and finally one deduped
+    /// [`SolutionCache::solve_batch`] over every lane left unanswered.
+    fn answer(
+        &self,
+        scenarios: &[Scenario],
+        max_rel_err: f64,
+    ) -> Vec<Result<(Prediction, Served), ModelError>> {
+        let exact = |r: Result<Prediction, ModelError>| r.map(|p| (p, Served::Exact));
+        // NaN and infinities count as "no usable tolerance": exact mode.
         if !max_rel_err.is_finite() || max_rel_err <= 0.0 {
-            return self.cache.solve_batch(scenarios);
+            return self
+                .cache
+                .solve_batch(scenarios)
+                .into_iter()
+                .map(exact)
+                .collect();
         }
         let n = scenarios.len();
-        let mut out: Vec<Option<Result<Prediction, ModelError>>> = Vec::with_capacity(n);
+        let mut out: Vec<Option<Result<(Prediction, Served), ModelError>>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
         let mut misses: Vec<usize> = Vec::new();
         for (i, s) in scenarios.iter().enumerate() {
+            // The exact answer may already be resident — never
+            // interpolate past a bit-identical hit.
             if let Some(p) = self.cache.lookup(s) {
-                out[i] = Some(Ok(p));
+                out[i] = Some(Ok((p, Served::Exact)));
                 continue;
             }
             match self.try_interpolate(s, max_rel_err) {
-                Some((p, _)) => {
+                Some(served) => {
                     self.interp_hits.fetch_add(1, Ordering::Relaxed);
-                    out[i] = Some(Ok(p));
+                    out[i] = Some(Ok(served));
                 }
                 None => {
                     self.interp_fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -564,7 +564,7 @@ impl InterpCache {
         if !misses.is_empty() {
             let lanes: Vec<Scenario> = misses.iter().map(|&i| scenarios[i].clone()).collect();
             for (&i, r) in misses.iter().zip(self.cache.solve_batch(&lanes)) {
-                out[i] = Some(r);
+                out[i] = Some(exact(r));
             }
         }
         out.into_iter()

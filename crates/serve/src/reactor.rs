@@ -77,52 +77,48 @@ pub(crate) struct Job {
     pub request: Request,
 }
 
-/// Batch bodies at or under this size may run inline on the reactor
+/// Predict bodies at or under this size may run inline on the reactor
 /// (see [`offload`]). ~3 KB is roughly 30 closed-form lanes — a couple
 /// hundred microseconds even when every lane is a cold solve, comparable
 /// to serving a handful of inline singles. The routed sub-batches a
 /// [`ClusterClient`](crate::cluster::ClusterClient) fans out land well
 /// under this; saving their hand-offs is what keeps a pipelined
 /// multi-node wave competitive with one big single-node batch.
-const INLINE_BATCH_MAX_BODY: usize = 3 * 1024;
+const INLINE_MAX_BODY: usize = 3 * 1024;
 
 /// Should this request travel to the worker pool instead of running
 /// inline on the reactor? Requests whose handler cost is unbounded:
 ///
-/// * batch predictions that are *large* (over [`INLINE_BATCH_MAX_BODY`]:
-///   a full scenario sweep of cold solves), *tolerant* (a cell miss may
-///   fetch from a peer over the network), or contain a *general* model
-///   (an arbitrarily sized Appendix-A AMVA). Small exact closed-form
-///   batches are bounded — each lane is a microseconds fixed-point
-///   solve — and run inline;
-/// * tolerant single predictions (`max_rel_err` in the body) — a cell
-///   miss may *fetch from a peer over the network* and re-verify with a
-///   local solve (DESIGN.md §15);
+/// * predictions (`/v1/predict` and `/v1/predict/batch` alike) that are
+///   *large* (over [`INLINE_MAX_BODY`]: a full scenario sweep of cold
+///   solves), *tolerant* (a cell miss may fetch from a peer over the
+///   network and re-verify with a local solve, DESIGN.md §15), or contain
+///   a *general* model (an arbitrarily sized Appendix-A AMVA). Small
+///   exact closed-form predictions are bounded — each lane is a
+///   microseconds fixed-point solve — and run inline;
 /// * cell transfer (`/v1/cell/...`) — an import runs a spot-probe solve,
 ///   and an export can race a slot still being built.
 ///
 /// Stalling the reactor for milliseconds would add that stall to every
-/// other connection's latency. Everything else — exact single predict,
+/// other connection's latency. Everything else — small exact predictions,
 /// metrics, topology — is microseconds even on a cache miss, and
 /// answering it inline saves two thread hand-offs per request.
 fn offload(request: &Request) -> bool {
-    if request.path == "/v1/predict/batch" {
-        return request.body.len() > INLINE_BATCH_MAX_BODY
-            || batch_body_forces_offload(&request.body);
+    if request.path == "/v1/predict" || request.path == "/v1/predict/batch" {
+        return request.body.len() > INLINE_MAX_BODY || body_forces_offload(&request.body);
     }
     request.path.starts_with("/v1/cell/")
-        || (request.path == "/v1/predict" && memmem(&request.body, b"max_rel_err"))
 }
 
-/// Does a small batch body carry a token that forces worker offload —
+/// Does a small predict body carry a token that forces worker offload —
 /// `max_rel_err` (tolerant lanes can fetch cells over the network) or
 /// `general` (an Appendix-A model of arbitrary size)? One pass with
-/// first-byte dispatch: this runs on the reactor for every batch under
-/// the inline cap, and two naive [`memmem`] passes over a few KB would
-/// cost a measurable slice of the hand-off they avoid. A false positive
-/// (the token in some future free-form field) merely offloads; misses
-/// are impossible because the wire keys are literal.
-fn batch_body_forces_offload(body: &[u8]) -> bool {
+/// first-byte dispatch: this runs on the reactor for every predict under
+/// the inline cap, and a naive substring search per token over a few KB
+/// would cost a measurable slice of the hand-off it avoids. A false
+/// positive (the token in some future free-form field) merely offloads;
+/// misses are impossible because the wire keys are literal.
+fn body_forces_offload(body: &[u8]) -> bool {
     let mut rest = body;
     while let Some(&byte) = rest.first() {
         match byte {
@@ -133,14 +129,6 @@ fn batch_body_forces_offload(body: &[u8]) -> bool {
         rest = &rest[1..];
     }
     false
-}
-
-/// Naive substring search (the bodies are small and the needle is fixed;
-/// anything fancier is not worth the code).
-fn memmem(haystack: &[u8], needle: &[u8]) -> bool {
-    haystack
-        .windows(needle.len())
-        .any(|window| window == needle)
 }
 
 /// How a worker finished its job.
@@ -1021,6 +1009,40 @@ mod tests {
         let mut status = [0u8; 12];
         (&client).read_exact(&mut status).expect("read response");
         assert_eq!(&status, b"HTTP/1.1 200");
+    }
+
+    #[test]
+    fn offload_sends_unbounded_work_to_the_pool() {
+        let machine = r#""machine":{"p":32,"st":25,"so":200,"c2":0}"#;
+        let a2a = format!(r#"{{"kind":"all_to_all",{machine},"w":1000}}"#);
+        let general = format!(r#"{{"kind":"general",{machine},"w":[1000],"v":[[1]]}}"#);
+        let tolerant = format!(r#"{{"kind":"all_to_all",{machine},"w":1000,"max_rel_err":0.01}}"#);
+        let batch = |lanes: usize| {
+            format!(
+                r#"{{"scenarios":[{}]}}"#,
+                vec![a2a.as_str(); lanes].join(",")
+            )
+        };
+        let large = batch(64);
+        assert!(large.len() > INLINE_MAX_BODY);
+        let cases = [
+            ("exact single", "/v1/predict", a2a.clone(), false),
+            ("General single", "/v1/predict", general, true),
+            ("tolerant single", "/v1/predict", tolerant, true),
+            ("small exact batch", "/v1/predict/batch", batch(4), false),
+            ("batch over 3 KB", "/v1/predict/batch", large, true),
+            ("cell transfer", "/v1/cell/0-20", String::new(), true),
+        ];
+        for (name, path, body, want) in cases {
+            let request = Request {
+                method: "POST".into(),
+                path: path.into(),
+                query: None,
+                headers: Vec::new(),
+                body: body.into_bytes(),
+            };
+            assert_eq!(offload(&request), want, "{name}");
+        }
     }
 
     #[test]

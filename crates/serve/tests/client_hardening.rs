@@ -208,10 +208,10 @@ fn never_retries_after_a_partial_response() {
 }
 
 /// The router keeps one warm keep-alive connection per node: a burst of
-/// routed batches must ride that pooled connection, never redial per
-/// sub-batch. The server's accept counter is the witness — one accept for
-/// the topology fetch, one for the pooled route connection, and not a
-/// single one more across ten batches.
+/// routed batches and singles must ride that pooled connection, never
+/// redial per sub-batch. The server's accept counter is the witness — one
+/// accept for the topology fetch, one for the pooled route connection,
+/// and not a single one more across ten batches and ten singles.
 #[test]
 fn routed_batches_reuse_the_pooled_connection() {
     let server = start(ServerConfig {
@@ -229,13 +229,62 @@ fn routed_batches_reuse_the_pooled_connection() {
     for _ in 0..10 {
         router.predict_batch(&scenarios).expect("routed batch");
     }
+    for s in &scenarios[..10] {
+        router.predict(s).expect("routed single");
+    }
     let opened = server.service().metrics().opened_connections_total();
     assert_eq!(
         opened, 2,
-        "ten routed batches opened {opened} connections — expected exactly \
-         the topology fetch plus one pooled route connection"
+        "ten routed batches and ten singles opened {opened} connections — \
+         expected exactly the topology fetch plus one pooled route connection"
     );
     server.shutdown();
+}
+
+/// An error status is an answer, not a node failure: a routed single of
+/// an unsolvable scenario comes back as that status and is never failed
+/// over to another member. The nodes' request counters are the witness —
+/// the topology fetch plus one predict, not a second predict on a
+/// survivor.
+#[test]
+fn routed_single_error_status_is_not_failed_over() {
+    let listeners: Vec<TcpListener> = (0..2)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+        .collect();
+    let addrs: Vec<String> = listeners
+        .iter()
+        .map(|l| l.local_addr().expect("addr").to_string())
+        .collect();
+    let nodes: Vec<_> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
+            let config = ServerConfig {
+                workers: 2,
+                peers: vec![addrs[1 - i].clone()],
+                advertise: Some(addrs[i].clone()),
+                ..ServerConfig::default()
+            };
+            start_on(listener, config).expect("start node")
+        })
+        .collect();
+    let router = ClusterClient::connect(nodes[0].addr()).expect("router");
+    let unsolvable = Scenario::AllToAll {
+        machine: Machine::new(1, 0.0, 1.0),
+        w: 1.0,
+    };
+    match router.predict(&unsolvable) {
+        Err(ClientError::Status(422, _)) => {}
+        other => panic!("expected a 422 answer, got: {other:?}"),
+    }
+    let requests: u64 = nodes
+        .iter()
+        .map(|n| n.service().metrics().requests_total())
+        .sum();
+    assert_eq!(requests, 2, "the 422 was replayed on another member");
+    for n in nodes {
+        n.shutdown();
+    }
 }
 
 /// Half-open re-probe is single-flight: when a dead member's cooldown
