@@ -62,6 +62,50 @@ pub struct Section {
     pub entries: Vec<Entry>,
     /// Derived headline metrics (speedups, ratios), keyed by name.
     pub derived: BTreeMap<String, f64>,
+    /// The machine the section was measured on, when the bench records it.
+    pub host: Option<Host>,
+}
+
+/// The machine and source revision a measurement was taken on, so a
+/// recorded number can be reproduced and compared like for like.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Host {
+    /// Logical CPUs available to the process.
+    pub cores: usize,
+    /// CPU model name (`/proc/cpuinfo` on Linux, else `"unknown"`).
+    pub cpu: String,
+    /// `git describe --always --dirty` of the measured tree, else
+    /// `"unknown"`.
+    pub git_rev: String,
+}
+
+impl Host {
+    /// Describe the current machine and the checkout the bench was built
+    /// from.
+    pub fn detect() -> Host {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|text| {
+                text.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, v)| v.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        let git_rev = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".into());
+        Host {
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpu,
+            git_rev,
+        }
+    }
 }
 
 impl Section {
@@ -138,6 +182,16 @@ pub fn update(path: &Path, section: Section) -> io::Result<PathBuf> {
             Json::Object(obj)
         })
         .collect();
+    if let Some(host) = &section.host {
+        sec_obj.push((
+            "host".into(),
+            Json::Object(vec![
+                ("cores".into(), Json::Num(host.cores as f64)),
+                ("cpu".into(), Json::Str(host.cpu.clone())),
+                ("git_rev".into(), Json::Str(host.git_rev.clone())),
+            ]),
+        ));
+    }
     sec_obj.push(("entries".into(), Json::Array(entries)));
     if !section.derived.is_empty() {
         sec_obj.push((
@@ -184,6 +238,11 @@ mod tests {
 
         let mut b = Section::new("solver_perf");
         b.entry("g/two", 50.0, None);
+        b.host = Some(Host {
+            cores: 2,
+            cpu: "Example CPU".into(),
+            git_rev: "abc1234".into(),
+        });
         update(&path, b).unwrap();
 
         let doc = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
@@ -198,6 +257,11 @@ mod tests {
             sim.get("derived").unwrap().get("speedup").unwrap().as_num(),
             Some(2.0)
         );
+        assert!(sim.get("host").is_none());
+        let host = solver.get("host").expect("host block written");
+        assert_eq!(host.get("cores").unwrap().as_num(), Some(2.0));
+        assert_eq!(host.get("cpu"), Some(&Json::Str("Example CPU".into())));
+        assert_eq!(host.get("git_rev"), Some(&Json::Str("abc1234".into())));
         match solver.get("entries").unwrap() {
             Json::Array(items) => {
                 assert_eq!(items.len(), 1);

@@ -85,6 +85,12 @@ impl GeneralModel {
     /// Homogeneous all-to-all instance: every thread works `w` and sends to
     /// every other node uniformly (`V[c][k] = 1/(P−1)`). Solving this must
     /// agree with the §5 closed form — a cross-check the tests enforce.
+    ///
+    /// This builds the dense `P × P` matrix. `Scenario::SharedMemory` no
+    /// longer routes through it: that variant is solved as its three-scalar
+    /// symmetric fixed point, and this instance with
+    /// [`with_protocol_processor`](Self::with_protocol_processor) is the
+    /// dense oracle the collapse is tested against bit for bit.
     pub fn homogeneous_all_to_all(machine: Machine, w: f64) -> Self {
         let p = machine.p;
         let frac = 1.0 / (p - 1) as f64;

@@ -67,6 +67,7 @@ pub mod logp;
 pub mod params;
 pub mod scenario;
 mod scenario_batch;
+mod shared_memory;
 
 pub use all_to_all::{AllToAll, AllToAllSolution};
 pub use client_server::{ClientServer, CsPoint};

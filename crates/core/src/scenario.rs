@@ -25,6 +25,7 @@
 //! ```
 
 pub use crate::scenario_batch::{is_retryable, solve_batch};
+pub use crate::shared_memory::MAX_P as SHARED_MEMORY_MAX_P;
 
 use crate::all_to_all::AllToAll;
 use crate::client_server::ClientServer;
@@ -32,6 +33,7 @@ use crate::error::ModelError;
 use crate::fork_join::ForkJoin;
 use crate::general::GeneralModel;
 use crate::params::Machine;
+use crate::shared_memory::SharedMemory;
 
 /// One prediction request: which model variant, with which parameters.
 ///
@@ -70,7 +72,9 @@ pub enum Scenario {
     /// The full Appendix A per-node AMVA with arbitrary routing.
     General(GeneralModel),
     /// Shared-memory variant (§5.1): homogeneous all-to-all on a machine
-    /// with per-node protocol processors (`Rw = W`).
+    /// with per-node protocol processors (`Rw = W`). Solved as the
+    /// three-scalar symmetric fixed point, bit-identical to the dense
+    /// [`GeneralModel`] solve; `P` is capped at [`SHARED_MEMORY_MAX_P`].
     SharedMemory {
         /// Architectural parameters.
         machine: Machine,
@@ -108,11 +112,7 @@ impl Scenario {
             }
             Scenario::ForkJoin { machine, w, k } => ForkJoin::new(*machine, *w, *k).validate(),
             Scenario::General(model) => model.validate(),
-            Scenario::SharedMemory { machine, w } => {
-                GeneralModel::homogeneous_all_to_all(*machine, *w)
-                    .with_protocol_processor()
-                    .validate()
-            }
+            Scenario::SharedMemory { machine, w } => SharedMemory::new(*machine, *w).validate(),
         }
     }
 }
@@ -478,22 +478,7 @@ pub fn solve(scenario: &Scenario) -> Result<Prediction, ModelError> {
                 iterations: sol.iterations,
             })
         }
-        Scenario::SharedMemory { machine, w } => {
-            let sol = GeneralModel::homogeneous_all_to_all(*machine, *w)
-                .with_protocol_processor()
-                .solve()?;
-            // Homogeneous: every node is identical, so node 0 is the system.
-            Ok(Prediction {
-                r: sol.r[0],
-                x: sol.system_throughput(),
-                rw: sol.rw[0],
-                rq: sol.rq[0],
-                ry: sol.ry[0],
-                contention: sol.r[0] - machine.contention_free_response(*w),
-                ps: None,
-                iterations: sol.iterations,
-            })
-        }
+        Scenario::SharedMemory { machine, w } => SharedMemory::new(*machine, *w).solve(),
     }
 }
 

@@ -23,7 +23,10 @@
 //!   comparison the scalar `optimal_servers` performs.
 //! * `General` and `SharedMemory` lanes iterate under [`solve_damped_many`],
 //!   which keeps every lane's state in one flat buffer and retires lanes
-//!   independently at their own convergence iteration.
+//!   independently at their own convergence iteration. A `General` lane
+//!   carries the dense `3P` state; a `SharedMemory` lane carries the
+//!   collapsed three-scalar state `[rq, ry, r]` of its symmetric fixed
+//!   point, bit-identical to the dense solve.
 //! * Lanes that never reach an iterative kernel in the scalar path
 //!   (validation failures, degenerate models, `So = 0` closed forms) are
 //!   answered by the scalar dispatch directly — those paths are O(1), so
@@ -59,6 +62,7 @@ use crate::fork_join::ForkJoin;
 use crate::general::GeneralModel;
 use crate::params::Machine;
 use crate::scenario::{solve, Prediction, Scenario};
+use crate::shared_memory::SharedMemory;
 use lopc_solver::{bracket_bisect_many, solve_damped_many, BracketBisectSpec, SolverError};
 
 /// Where a scenario's answer comes from after the kernels run.
@@ -81,6 +85,14 @@ enum Pending {
     },
     /// General / shared-memory damped fixed-point lane.
     Damped(usize),
+}
+
+/// The map a damped fixed-point lane iterates.
+enum DampedLane<'a> {
+    /// Dense Appendix A state `[rq[0..P] | ry[0..P] | r[0..P]]`.
+    General(&'a GeneralModel),
+    /// Collapsed symmetric state `[rq, ry, r]`.
+    SharedMemory(SharedMemory),
 }
 
 /// SoA parameter arrays for one bracket/bisect lane group. Unused arrays
@@ -189,7 +201,7 @@ pub fn solve_batch(scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>
     let mut a2a = RootLanes::default();
     let mut fj = RootLanes::default();
     let mut cs = RootLanes::default();
-    let mut damped_models: Vec<GeneralModel> = Vec::new();
+    let mut damped_lanes: Vec<DampedLane> = Vec::new();
     let mut damped_x0s: Vec<Vec<f64>> = Vec::new();
 
     // Pre-pass: replay each scenario's scalar entry checks; route lanes that
@@ -286,23 +298,22 @@ pub fn solve_batch(scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>
                     Pending::Direct
                 }
                 Ok(x0) => {
-                    let lane = damped_models.len();
-                    damped_models.push(model.clone());
+                    let lane = damped_lanes.len();
+                    damped_lanes.push(DampedLane::General(model));
                     damped_x0s.push(x0);
                     Pending::Damped(lane)
                 }
             },
             Scenario::SharedMemory { machine, w } => {
-                let gm =
-                    GeneralModel::homogeneous_all_to_all(*machine, *w).with_protocol_processor();
-                match gm.initial_state() {
+                let sm = SharedMemory::new(*machine, *w);
+                match sm.initial_state() {
                     Err(_) => {
                         out[i] = Some(solve(s));
                         Pending::Direct
                     }
                     Ok(x0) => {
-                        let lane = damped_models.len();
-                        damped_models.push(gm);
+                        let lane = damped_lanes.len();
+                        damped_lanes.push(DampedLane::SharedMemory(sm));
                         damped_x0s.push(x0);
                         Pending::Damped(lane)
                     }
@@ -394,7 +405,10 @@ pub fn solve_batch(scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>
 
     let mut damped_results: Vec<_> = solve_damped_many(
         &damped_x0s,
-        |l, x, out| damped_models[l].apply_f(x, out),
+        |l, x, out| match &damped_lanes[l] {
+            DampedLane::General(model) => model.apply_f(x, out),
+            DampedLane::SharedMemory(sm) => sm.apply_f(x, out),
+        },
         &GeneralModel::fixed_point_options(),
     )
     .into_iter()
@@ -497,38 +511,28 @@ pub fn solve_batch(scenarios: &[Scenario]) -> Vec<Result<Prediction, ModelError>
                 })());
             }
             Pending::Damped(lane) => {
-                let model = &damped_models[*lane];
-                out[i] = Some(
-                    match damped_results[*lane].take().expect("lane used once") {
+                let result = damped_results[*lane].take().expect("lane used once");
+                out[i] = Some(match &damped_lanes[*lane] {
+                    DampedLane::General(model) => match result {
                         Ok(conv) => {
                             let sol = model.decompose(&conv.x, conv.iterations);
-                            Ok(match &scenarios[i] {
-                                Scenario::General(_) => Prediction {
-                                    r: sol.mean_r(),
-                                    x: sol.system_throughput(),
-                                    rw: f64::NAN,
-                                    rq: f64::NAN,
-                                    ry: f64::NAN,
-                                    contention: f64::NAN,
-                                    ps: None,
-                                    iterations: sol.iterations,
-                                },
-                                Scenario::SharedMemory { machine, w } => Prediction {
-                                    r: sol.r[0],
-                                    x: sol.system_throughput(),
-                                    rw: sol.rw[0],
-                                    rq: sol.rq[0],
-                                    ry: sol.ry[0],
-                                    contention: sol.r[0] - machine.contention_free_response(*w),
-                                    ps: None,
-                                    iterations: sol.iterations,
-                                },
-                                _ => unreachable!("lane routing is per-variant"),
+                            Ok(Prediction {
+                                r: sol.mean_r(),
+                                x: sol.system_throughput(),
+                                rw: f64::NAN,
+                                rq: f64::NAN,
+                                ry: f64::NAN,
+                                contention: f64::NAN,
+                                ps: None,
+                                iterations: sol.iterations,
                             })
                         }
                         Err(e) => Err(ModelError::from(e)),
                     },
-                );
+                    DampedLane::SharedMemory(sm) => result
+                        .map(|conv| sm.decompose(&conv.x, conv.iterations))
+                        .map_err(|e| sm.expand_error(e)),
+                });
             }
         }
     }

@@ -363,6 +363,42 @@ fn http_errors_are_clean_json_not_hangs() {
     server.shutdown();
 }
 
+/// A ~100-byte shared-memory body naming a huge machine is refused by the
+/// `P` bound at validation (O(1), no matrix, no solve) with a 422, and the
+/// reactor goes straight on serving warm requests.
+#[test]
+fn shared_memory_processor_bound_is_422() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let warm = Scenario::SharedMemory {
+        machine: machine(),
+        w: 800.0,
+    };
+    let direct = lopc_core::scenario::solve(&warm).unwrap();
+    client.predict(&warm).expect("warm-up");
+
+    let huge =
+        r#"{"kind":"shared_memory","machine":{"p":1000000000,"st":25,"so":200,"c2":0},"w":800}"#;
+    let started = std::time::Instant::now();
+    let (status, body) = client
+        .request("POST", "/v1/predict", huge.as_bytes())
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(status, 422);
+    let body = String::from_utf8(body).unwrap();
+    assert!(body.contains("p must be <= 65536"), "{body}");
+    assert!(elapsed.as_secs_f64() < 1.0, "422 took {elapsed:?}");
+
+    let p = client.predict(&warm).expect("warm request after the 422");
+    assert!(lopc_serve::predictions_identical(&p, &direct));
+    let cache = client.metrics().unwrap();
+    let cache = cache.get("cache").unwrap();
+    assert_eq!(cache.get("hits").unwrap().as_num(), Some(1.0));
+    assert_eq!(cache.get("misses").unwrap().as_num(), Some(1.0));
+
+    server.shutdown();
+}
+
 #[test]
 fn concurrent_clients_are_served_in_parallel_workers() {
     let server = start_server();

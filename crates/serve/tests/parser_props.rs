@@ -451,6 +451,54 @@ fn pipelined_requests_drip_out_in_order() {
     assert!(!parser.mid_request(), "stream must end at a boundary");
 }
 
+/// A deep pipelined backlog arriving in one `push` parses exactly as the
+/// same requests delivered one at a time, and `buffered()` counts only the
+/// bytes not yet consumed while the backlog drains (consumed bytes are
+/// compacted away lazily on the next `push`).
+#[test]
+fn pipelined_backlog_in_one_push_matches_one_at_a_time() {
+    let corpus = valid_request_corpus();
+    let requests: Vec<&[u8]> = (0..200).map(|i| &corpus[i % corpus.len()][..]).collect();
+    let stream: Vec<u8> = requests.concat();
+
+    let mut one_at_a_time = Vec::new();
+    let mut parser = RequestParser::new();
+    for bytes in &requests {
+        parser.push(bytes);
+        one_at_a_time.push(parser.poll().expect("valid").expect("complete"));
+        assert_eq!(parser.buffered(), 0);
+        assert_eq!(parser.poll().expect("valid"), None);
+    }
+
+    let mut parser = RequestParser::new();
+    parser.push(&stream);
+    assert_eq!(parser.buffered(), stream.len());
+    let mut remaining = stream.len();
+    let mut backlog = Vec::new();
+    for bytes in &requests {
+        backlog.push(parser.poll().expect("valid").expect("complete"));
+        remaining -= bytes.len();
+        assert_eq!(parser.buffered(), remaining);
+    }
+    assert_eq!(parser.poll().expect("valid"), None);
+    assert_eq!(backlog, one_at_a_time);
+    assert!(!parser.mid_request());
+
+    // The fully consumed backlog is dropped on the next push, and a request
+    // split across that push still parses.
+    let next = &requests[0];
+    let (head, tail) = next.split_at(next.len() / 2);
+    parser.push(head);
+    assert_eq!(parser.buffered(), head.len());
+    assert_eq!(parser.poll().expect("valid"), None);
+    parser.push(tail);
+    assert_eq!(
+        parser.poll().expect("valid").as_ref(),
+        Some(&one_at_a_time[0])
+    );
+    assert_eq!(parser.buffered(), 0);
+}
+
 /// Corruptions of a *valid* scenario document must decode, or fail with an
 /// error — and whenever they decode, re-encoding must round-trip (no
 /// half-parsed state).
